@@ -54,7 +54,6 @@ from .grid import (
     EdgeField,
     Grid,
     GridFunction,
-    build_grid,
     forward_diff,
     inner_product,
     neg_divergence,
@@ -63,13 +62,12 @@ from .grid import (
     sobolev_norm,
     write_grid_function,
 )
-from .solver import SolveReport, SolverConfig, solve_inner, verify_weak_form
+from .solver import SolveReport, SolverConfig, solve_inner
 
 __all__ = [
     "Grid",
     "GridFunction",
     "EdgeField",
-    "build_grid",
     "forward_diff",
     "neg_divergence",
     "quadrature",
@@ -100,7 +98,6 @@ __all__ = [
     "SolverConfig",
     "SolveReport",
     "solve_inner",
-    "verify_weak_form",
     "Objective",
     "ControlConfig",
     "ControlReport",

@@ -10,6 +10,7 @@ into an artifact, to keep reruns bit-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -244,6 +245,8 @@ def parse_config(
         preset=_require(kv, "forcing.preset", str, default="sine"),
         path=kv.get("forcing.path"),
     )
+    if not math.isfinite(forcing.value):
+        raise ConfigError(f"forcing.value: must be finite, got {forcing.value}")
     if forcing.kind not in ("constant", "preset", "csv"):
         raise ConfigError(
             f"forcing.kind: must be constant, preset, or csv, got {forcing.kind!r}"

@@ -23,6 +23,7 @@ smoothness even when the natural pairing for f would be a q-norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -31,7 +32,7 @@ import numpy as np
 from .energy import Exponents, WeightField, hessian_apply
 from .errors import CGBreakdownError, InnerSolveError
 from .grid import Grid, GridFunction, inner_product
-from .solver import STEP_FLOOR, SolveReport, SolverConfig, solve_inner
+from .solver import SolveReport, SolverConfig, _backtrack, _bb_step, solve_inner
 
 __all__ = [
     "Objective",
@@ -105,8 +106,8 @@ class Objective:
 
 def tracking_objective(u_d: GridFunction, alpha: float) -> Objective:
     """Quadratic tracking objective 0.5*||u - u_d||_h^2 + 0.5*alpha*||f||_h^2."""
-    if alpha < 0.0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
+    if not (alpha >= 0.0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
 
     def evaluate(f: GridFunction, u: GridFunction) -> float:
         diff = u - u_d
@@ -143,8 +144,8 @@ class ControlConfig:
             raise ValueError(
                 f"cg_tol must be below tol_reduced, got {self.cg_tol} >= {self.tol_reduced}"
             )
-        if self.alpha < 0.0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not 0.0 < self.armijo_c < 1.0:
             raise ValueError(f"armijo_c must lie in (0,1), got {self.armijo_c}")
         if not 0.0 < self.backtrack < 1.0:
@@ -193,30 +194,16 @@ class SolutionOperator:
         return self.report(f, warm).u_star
 
 
-def _as_inner(cfg: ControlConfig | SolverConfig) -> SolverConfig:
-    return cfg.inner if isinstance(cfg, ControlConfig) else cfg
-
-
-def _operator_for(
-    mu: WeightField,
-    e: Exponents,
-    cfg: ControlConfig | SolverConfig,
-    cache: SolutionOperator | None,
-) -> SolutionOperator:
-    if cache is not None:
-        return cache
-    return SolutionOperator(mu, e, _as_inner(cfg))
-
-
 def solution_operator(
     f: GridFunction,
     mu: WeightField,
     e: Exponents,
-    cfg: ControlConfig | SolverConfig,
+    cfg: SolverConfig,
     cache: SolutionOperator | None = None,
 ) -> GridFunction:
     """The state psi(f); converged or InnerSolveError, never a silent best-effort."""
-    return _operator_for(mu, e, cfg, cache)(f)
+    psi = cache if cache is not None else SolutionOperator(mu, e, cfg)
+    return psi(f)
 
 
 def _cg(
@@ -276,7 +263,7 @@ def gateaux_derivative(
     cache: SolutionOperator | None = None,
 ) -> GridFunction:
     """Directional derivative of psi at f along h: solve H(psi(f)) w = h."""
-    u = _operator_for(mu, e, cfg, cache)(f)
+    u = solution_operator(f, mu, e, cfg.inner, cache)
     return _hessian_solve(u, h, mu, e, cfg)
 
 
@@ -289,7 +276,7 @@ def reduced_gradient(
     cache: SolutionOperator | None = None,
 ) -> GridFunction:
     """Adjoint gradient of f -> obj.evaluate(f, psi(f)): one hessian solve."""
-    u = _operator_for(mu, e, cfg, cache)(f)
+    u = solution_operator(f, mu, e, cfg.inner, cache)
     lam = _hessian_solve(u, obj.grad_u(f, u), mu, e, cfg)
     return obj.grad_f(f, u) + lam
 
@@ -322,7 +309,6 @@ def optimize_control(
     cell = grid.h**grid.n
     status = "max_outer"
     outer = 0
-    step = 1.0
     prev_s: np.ndarray | None = None
     prev_y: np.ndarray | None = None
 
@@ -332,32 +318,21 @@ def optimize_control(
             status = "converged"
             break
 
-        if prev_s is not None:
-            sy = float(np.dot(prev_s.ravel(), prev_y.ravel()))
-            if sy > 0.0:
-                ss = float(np.dot(prev_s.ravel(), prev_s.ravel()))
-                step = min(max(ss / sy, 1e-14), 1e14)
-            else:
-                step = 1.0
         decrease = cfg.armijo_c * cell * float(np.sum(g.values * g.values))
 
-        t = step
-        accepted = False
-        while t >= STEP_FLOOR:
+        def trial(t: float) -> tuple[float, tuple[GridFunction, GridFunction] | None]:
             f_trial = GridFunction(grid, f.values - t * g.values)
             try:
                 u_trial = psi(f_trial, warm=u)
             except InnerSolveError:
-                t *= cfg.backtrack
-                continue
-            j_trial = obj.evaluate(f_trial, u_trial)
-            if np.isfinite(j_trial) and j_trial <= j_val - t * decrease:
-                accepted = True
-                break
-            t *= cfg.backtrack
-        if not accepted:
+                return math.inf, None
+            return obj.evaluate(f_trial, u_trial), (f_trial, u_trial)
+
+        accepted = _backtrack(trial, _bb_step(prev_s, prev_y), cfg.backtrack, j_val, decrease)
+        if accepted is None:
             status = "stalled"
             break
+        _, j_trial, (f_trial, u_trial) = accepted
 
         g_new = reduced_gradient(f_trial, obj, mu, e, cfg, cache=psi)
         prev_s = f_trial.values - f.values

@@ -30,6 +30,7 @@ exhibiting it is the point of keeping both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -37,12 +38,11 @@ import numpy as np
 
 from .errors import SingularLinearizationError
 from .grid import (
-    EdgeField,
     Grid,
     GridFunction,
-    forward_diff,
-    neg_divergence,
-    quadrature,
+    _diff,
+    _diffs,
+    _neg_div_sum,
 )
 
 __all__ = [
@@ -84,6 +84,9 @@ class Exponents:
     def __post_init__(self) -> None:
         if self.n not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.n}")
+        for name in ("p", "q", "eps_reg"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.q > 1.0):
             raise ValueError(f"q must exceed 1, got {self.q}")
         if not (self.p > 1.0):
@@ -149,7 +152,7 @@ def validate_exponents(
         return Exponents(p=p, q=q, n=n, eps_reg=eps_reg, strict_sobolev=True)
     if p_override is None:
         raise ValueError("relaxed mode requires an explicit p")
-    if not p_override > q:
+    if p_override <= q:  # a nan p falls through to the finiteness check
         raise ValueError(
             f"relaxed mode requires q < p, got q={q}, p={p_override}"
         )
@@ -226,13 +229,13 @@ class WeightField:
         """
         arrays = []
         for axis in range(grid.n):
-            pad = [(1, 1) if a == axis else (0, 0) for a in range(grid.n)]
-            padded = np.pad(nodal.values, pad, mode="edge")
-            lo = [slice(None)] * grid.n
-            hi = [slice(None)] * grid.n
-            lo[axis] = slice(0, -1)
-            hi[axis] = slice(1, None)
-            arrays.append(0.5 * (padded[tuple(lo)] + padded[tuple(hi)]))
+            pair_sum = np.empty(grid.edge_shape(axis))
+            s = pair_sum.swapaxes(0, axis)
+            v = nodal.values.swapaxes(0, axis)
+            np.add(v[:1], v[:1], out=s[:1])
+            np.add(v[:-1], v[1:], out=s[1:-1])
+            np.add(v[-1:], v[-1:], out=s[-1:])
+            arrays.append(0.5 * pair_sum)
         return cls.from_edge_values(grid, arrays, mu_max)
 
     @classmethod
@@ -304,10 +307,6 @@ def _check_problem(u: GridFunction, mu: WeightField, e: Exponents) -> None:
         )
 
 
-def _edge_gradients(u: GridFunction) -> list[np.ndarray]:
-    return [forward_diff(u, axis).values for axis in range(u.grid.n)]
-
-
 def energy(
     u: GridFunction, f: GridFunction, mu: WeightField, e: Exponents
 ) -> EnergyBreakdown:
@@ -321,7 +320,7 @@ def energy(
     eps2 = e.eps_reg**2
     p_term = 0.0
     q_term = 0.0
-    for axis, g in enumerate(_edge_gradients(u)):
+    for axis, g in enumerate(_diffs(u.values, u.grid.h)):
         s2 = g * g + eps2
         p_term += float(np.sum(s2 ** (e.p / 2.0))) * cell / e.p
         q_term += float(np.sum(mu.per_axis[axis] * s2 ** (e.q / 2.0))) * cell / e.q
@@ -329,16 +328,17 @@ def energy(
     return EnergyBreakdown(p_term=p_term, q_term=q_term, load_term=load)
 
 
-def _fluxes(
-    u: GridFunction, mu: WeightField, e: Exponents
-) -> list[np.ndarray]:
-    """Per-axis edge fluxes pi(g)^(p-2) g + mu pi(g)^(q-2) g."""
-    eps2 = e.eps_reg**2
-    out = []
-    for axis, g in enumerate(_edge_gradients(u)):
-        s2 = g * g + eps2
-        out.append(s2 ** ((e.p - 2.0) / 2.0) * g + mu.per_axis[axis] * s2 ** ((e.q - 2.0) / 2.0) * g)
-    return out
+def _flux(g: np.ndarray, mu_axis: np.ndarray, e: Exponents) -> np.ndarray:
+    """Edge flux pi(g)^(p-2) g + mu pi(g)^(q-2) g of one axis."""
+    s2 = g * g + e.eps_reg**2
+    return s2 ** ((e.p - 2.0) / 2.0) * g + mu_axis * s2 ** ((e.q - 2.0) / 2.0) * g
+
+
+def _pseudo_operator(
+    diffs: list[np.ndarray], mu_axes: tuple[np.ndarray, ...], e: Exponents, h: float
+) -> np.ndarray:
+    """apply_pseudo_operator from the edge differences of u (minus f: the gradient)."""
+    return _neg_div_sum([_flux(g, mu_axes[axis], e) for axis, g in enumerate(diffs)], h)
 
 
 def apply_pseudo_operator(
@@ -350,11 +350,8 @@ def apply_pseudo_operator(
     apply_pseudo_operator(u) = f nodally.
     """
     _check_problem(u, mu, e)
-    grid = u.grid
-    acc = np.zeros(grid.shape)
-    for axis, flux in enumerate(_fluxes(u, mu, e)):
-        acc = acc + neg_divergence(EdgeField(grid, axis, flux)).values
-    return GridFunction(grid, acc)
+    h = u.grid.h
+    return GridFunction(u.grid, _pseudo_operator(_diffs(u.values, h), mu.per_axis, e, h))
 
 
 def energy_gradient(
@@ -371,7 +368,7 @@ def energy_gradient(
     return GridFunction(u.grid, a.values - f.values)
 
 
-def _transverse_sq(u: GridFunction, axis: int) -> np.ndarray:
+def _transverse_sq(diffs: list[np.ndarray], axis: int) -> np.ndarray:
     """Squared transverse difference averaged to the axis-`axis` edges.
 
     In 2-D, each axis-0 edge midpoint sees four neighboring axis-1
@@ -380,26 +377,18 @@ def _transverse_sq(u: GridFunction, axis: int) -> np.ndarray:
     because the boundary data is identically zero along the boundary.
     In 1-D there is no transverse direction and the result is zero.
     """
-    grid = u.grid
-    if grid.n == 1:
-        return np.zeros(grid.edge_shape(axis))
-    other = 1 - axis
-    g_other = forward_diff(u, other).values
-    # Average the 2x2 block of transverse differences around each edge.
-    pad = [(0, 0), (0, 0)]
-    pad[axis] = (1, 1)
-    padded = np.pad(g_other, pad)  # zero rows for the boundary endpoints
-    lo = [slice(None)] * 2
-    hi = [slice(None)] * 2
-    lo[axis] = slice(0, -1)
-    hi[axis] = slice(1, None)
-    a = padded[tuple(lo)]
-    b = padded[tuple(hi)]
-    lo2 = [slice(None)] * 2
-    hi2 = [slice(None)] * 2
-    lo2[other] = slice(0, -1)
-    hi2[other] = slice(1, None)
-    avg = 0.25 * (a[tuple(lo2)] + a[tuple(hi2)] + b[tuple(lo2)] + b[tuple(hi2)])
+    if len(diffs) == 1:
+        return np.zeros(diffs[0].shape)
+    # g[k, j] is the transverse difference at index k along `axis` on
+    # transverse edge j; a boundary endpoint contributes a zero row.
+    g = diffs[1 - axis].swapaxes(0, axis)
+    pairs = g[:, :-1] + g[:, 1:]
+    avg = np.empty(diffs[axis].shape)
+    block = avg.swapaxes(0, axis)
+    block[0] = pairs[0]
+    block[1:-1] = pairs[:-1] + g[1:, :-1] + g[1:, 1:]
+    block[-1] = pairs[-1]
+    avg *= 0.25
     return avg * avg
 
 
@@ -416,13 +405,14 @@ def apply_divergence_operator(
     _check_problem(u, mu, e)
     grid = u.grid
     eps2 = e.eps_reg**2
-    acc = np.zeros(grid.shape)
-    for axis in range(grid.n):
-        g = forward_diff(u, axis).values
-        mag2 = g * g + _transverse_sq(u, axis) + eps2
-        flux = mag2 ** ((e.p - 2.0) / 2.0) * g + mu.per_axis[axis] * mag2 ** ((e.q - 2.0) / 2.0) * g
-        acc = acc + neg_divergence(EdgeField(grid, axis, flux)).values
-    return GridFunction(grid, acc)
+    diffs = _diffs(u.values, grid.h)
+    fluxes = []
+    for axis, g in enumerate(diffs):
+        mag2 = g * g + _transverse_sq(diffs, axis) + eps2
+        fluxes.append(
+            mag2 ** ((e.p - 2.0) / 2.0) * g + mu.per_axis[axis] * mag2 ** ((e.q - 2.0) / 2.0) * g
+        )
+    return GridFunction(grid, _neg_div_sum(fluxes, grid.h))
 
 
 def weak_residual(
@@ -443,11 +433,31 @@ def weak_residual(
     grid = u.grid
     cell = grid.h**grid.n
     total = 0.0
-    for axis, flux in enumerate(_fluxes(u, mu, e)):
-        dphi = forward_diff(phi, axis).values
-        total += float(np.sum(flux * dphi)) * cell
+    for axis, g in enumerate(_diffs(u.values, grid.h)):
+        dphi = _diff(phi.values, axis, grid.h)
+        total += float(np.sum(_flux(g, mu.per_axis[axis], e) * dphi)) * cell
     total -= float(np.sum(f.values * phi.values)) * cell
     return total
+
+
+def _hessian_coeff(g: np.ndarray, mu_axis: np.ndarray, e: Exponents) -> np.ndarray:
+    """Edge coefficient of hessian_apply: the derivative of _flux in g."""
+    g2 = g * g
+    if e.eps_reg == 0.0:
+        # pi = |g| exactly; exponents are >= 2 here (smaller ones require
+        # eps_reg > 0 at construction), so g2**((p-2)/2) is well defined.
+        coeff = (e.p - 1.0) * g2 ** ((e.p - 2.0) / 2.0)
+        coeff = coeff + mu_axis * (e.q - 1.0) * g2 ** ((e.q - 2.0) / 2.0)
+        if np.any(coeff == 0.0):
+            raise SingularLinearizationError(
+                "zero linearization coefficient on an edge with eps_reg = 0; "
+                "re-run with a positive regularization width"
+            )
+        return coeff
+    eps2 = e.eps_reg**2
+    s2 = g2 + eps2
+    coeff = s2 ** ((e.p - 4.0) / 2.0) * ((e.p - 1.0) * g2 + eps2)
+    return coeff + mu_axis * s2 ** ((e.q - 4.0) / 2.0) * ((e.q - 1.0) * g2 + eps2)
 
 
 def hessian_apply(
@@ -468,55 +478,12 @@ def hessian_apply(
     """
     _check_problem(u, mu, e)
     _check_same_grid(u.grid, w)
-    grid = u.grid
-    eps2 = e.eps_reg**2
-    acc = np.zeros(grid.shape)
-    for axis, g in enumerate(_edge_gradients(u)):
-        g2 = g * g
-        if e.eps_reg == 0.0:
-            # pi = |g| exactly; exponents are >= 2 here (smaller ones require
-            # eps_reg > 0 at construction), so g2**((p-2)/2) is well defined.
-            coeff = (e.p - 1.0) * g2 ** ((e.p - 2.0) / 2.0)
-            coeff = coeff + mu.per_axis[axis] * (e.q - 1.0) * g2 ** ((e.q - 2.0) / 2.0)
-            if np.any(coeff == 0.0):
-                raise SingularLinearizationError(
-                    "zero linearization coefficient on an edge with eps_reg = 0; "
-                    "re-run with a positive regularization width"
-                )
-        else:
-            s2 = g2 + eps2
-            coeff = s2 ** ((e.p - 4.0) / 2.0) * ((e.p - 1.0) * g2 + eps2)
-            coeff = coeff + mu.per_axis[axis] * s2 ** ((e.q - 4.0) / 2.0) * ((e.q - 1.0) * g2 + eps2)
-        dw = forward_diff(w, axis).values
-        acc = acc + neg_divergence(EdgeField(grid, axis, coeff * dw)).values
-    return GridFunction(grid, acc)
-
-
-def _raw_diffs(vals: np.ndarray, h: float) -> list[np.ndarray]:
-    """Ghost-zero forward differences on a bare array; matches forward_diff."""
-    out = []
-    for axis in range(vals.ndim):
-        pad = [(1, 1) if a == axis else (0, 0) for a in range(vals.ndim)]
-        out.append(np.diff(np.pad(vals, pad), axis=axis) / h)
-    return out
-
-
-def _raw_gradient(
-    vals: np.ndarray,
-    f_vals: np.ndarray,
-    mu_axes: tuple[np.ndarray, ...],
-    p: float,
-    q: float,
-    eps2: float,
-    h: float,
-) -> np.ndarray:
-    """energy_gradient on bare arrays, bit-identical to the public path."""
-    acc = np.zeros(vals.shape)
-    for axis, g in enumerate(_raw_diffs(vals, h)):
-        s2 = g * g + eps2
-        flux = s2 ** ((p - 2.0) / 2.0) * g + mu_axes[axis] * s2 ** ((q - 2.0) / 2.0) * g
-        acc = acc + (-np.diff(flux, axis=axis) / h)
-    return acc - f_vals
+    h = u.grid.h
+    fluxes = [
+        _hessian_coeff(g, mu.per_axis[axis], e) * _diff(w.values, axis, h)
+        for axis, g in enumerate(_diffs(u.values, h))
+    ]
+    return GridFunction(u.grid, _neg_div_sum(fluxes, h))
 
 
 def _raw_energy_decrease(

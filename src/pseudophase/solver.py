@@ -9,34 +9,71 @@ with backtracking is robust to that.
 Convergence is declared on the max-norm of the energy gradient.  Because
 the gradient component at node k equals the weak residual against the
 nodal indicator at k divided by the cell volume, the weak-form certificate
-verify_weak_form(report) <= tol_grad * h**n is an identity for converged
-reports, not an approximation.
+report.weak_check <= tol_grad * h**n is an identity for converged reports,
+not an approximation.
+
+The Barzilai-Borwein step and the backtracking line search are shared with
+the outer control loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .energy import (
     Exponents,
     WeightField,
-    _raw_diffs,
+    _pseudo_operator,
     _raw_energy_decrease,
-    _raw_gradient,
     energy,
     weak_residual,
 )
-from .grid import GridFunction
+from .grid import GridFunction, _diffs
 
-__all__ = ["SolverConfig", "SolveReport", "solve_inner", "verify_weak_form"]
+__all__ = ["SolverConfig", "SolveReport", "solve_inner"]
 
 #: Below this trial step the line search is declared stalled.
 STEP_FLOOR = 1e-16
 
 _BB_CLAMP = (1e-14, 1e14)
+
+
+def _bb_step(prev_s: np.ndarray | None, prev_y: np.ndarray | None) -> float:
+    """Barzilai-Borwein trial step s.s / s.y from the last accepted step.
+
+    Clamped to _BB_CLAMP; 1.0 before the first step or when s.y <= 0.
+    """
+    if prev_s is None:
+        return 1.0
+    sy = float(np.dot(prev_s.ravel(), prev_y.ravel()))
+    if not sy > 0.0:
+        return 1.0
+    ss = float(np.dot(prev_s.ravel(), prev_s.ravel()))
+    return min(max(ss / sy, _BB_CLAMP[0]), _BB_CLAMP[1])
+
+
+def _backtrack(
+    trial: Callable[[float], tuple[float, object]],
+    t: float,
+    shrink: float,
+    ref: float,
+    slope: float,
+) -> tuple[float, float, object] | None:
+    """Armijo backtracking over the trial steps t, t*shrink, ... >= STEP_FLOOR.
+
+    trial(t) returns (value, payload); the first step whose value is finite
+    and at most ref - t*slope is accepted and returned as (t, value,
+    payload).  None means every step above the floor failed.
+    """
+    while t >= STEP_FLOOR:
+        value, payload = trial(t)
+        if np.isfinite(value) and value <= ref - t * slope:
+            return t, value, payload
+        t *= shrink
+    return None
 
 
 @dataclass(frozen=True)
@@ -102,8 +139,10 @@ def solve_inner(
     Returns the best iterate with status "max_iters" or "stalled" when the
     iteration cap is hit or no representable step makes certified progress;
     status "converged" means final_grad_norm <= tol_grad.  The energy trace
-    holds the initial energy followed by the certified post-step values, so
-    it decreases strictly by construction.
+    holds the initial energy followed by the post-step values.  Every
+    accepted step is certified to decrease J, so the trace never increases;
+    a value repeats only when the certified decrease is below the rounding
+    of J.
     """
     grid = f.grid
     if cfg.init is None:
@@ -121,11 +160,11 @@ def solve_inner(
     mu_axes = mu.per_axis
 
     j_val = energy(u, f, mu, e).total
-    g = _raw_gradient(vals, f_vals, mu_axes, p, q, eps2, h)
+    diffs = _diffs(vals, h)
+    g = _pseudo_operator(diffs, mu_axes, e, h) - f_vals
     trace = [j_val]
     status = "max_iters"
     iterations = 0
-    step = 1.0
     prev_s: np.ndarray | None = None
     prev_y: np.ndarray | None = None
 
@@ -135,40 +174,27 @@ def solve_inner(
             status = "converged"
             break
 
-        if prev_s is not None:
-            sy = float(np.dot(prev_s.ravel(), prev_y.ravel()))
-            if sy > 0.0:
-                ss = float(np.dot(prev_s.ravel(), prev_s.ravel()))
-                step = min(max(ss / sy, _BB_CLAMP[0]), _BB_CLAMP[1])
-            else:
-                step = 1.0
         decrease = cfg.armijo_c * cell * float(np.sum(g * g))
-        diffs = _raw_diffs(vals, h)
-        dir_diffs = _raw_diffs(g, h)
+        dir_diffs = _diffs(g, h)
         f_dot_dir = cell * float(np.sum(f_vals * g))
 
-        t = step
-        stalled = False
-        while True:
-            dj = _raw_energy_decrease(
-                diffs, dir_diffs, f_dot_dir, mu_axes, p, q, eps2, cell, t
-            )
-            if np.isfinite(dj) and dj <= -t * decrease:
-                break
-            t *= cfg.backtrack
-            if t < STEP_FLOOR:
-                stalled = True
-                break
-        if not stalled:
-            new_vals = vals - t * g
-            if np.array_equal(new_vals, vals):
-                # The certified step is below the resolution of the iterate.
-                stalled = True
-        if stalled:
+        def trial(t: float) -> tuple[float, None]:
+            dj = _raw_energy_decrease(diffs, dir_diffs, f_dot_dir, mu_axes, p, q, eps2, cell, t)
+            return dj, None
+
+        accepted = _backtrack(trial, _bb_step(prev_s, prev_y), cfg.backtrack, 0.0, decrease)
+        if accepted is None:
+            status = "stalled"
+            break
+        t, dj, _ = accepted
+        new_vals = vals - t * g
+        if np.array_equal(new_vals, vals):
+            # The certified step is below the resolution of the iterate.
             status = "stalled"
             break
 
-        g_new = _raw_gradient(new_vals, f_vals, mu_axes, p, q, eps2, h)
+        diffs = _diffs(new_vals, h)
+        g_new = _pseudo_operator(diffs, mu_axes, e, h) - f_vals
         prev_s = new_vals - vals
         prev_y = g_new - g
         vals, g = new_vals, g_new
@@ -190,17 +216,3 @@ def solve_inner(
         weak_check=weak_check,
         status=status,
     )
-
-
-def verify_weak_form(
-    report: SolveReport, f: GridFunction, mu: WeightField, e: Exponents
-) -> float:
-    """Max |weak residual| over all nodal indicator test functions.
-
-    For a converged report this is bounded by tol_grad * h**n since the
-    residual against the indicator of node k is exactly h**n times the
-    gradient component at k.
-    """
-    if not report.converged:
-        raise ValueError("weak-form verification requires a converged report")
-    return _max_nodal_weak_residual(report.u_star, f, mu, e)

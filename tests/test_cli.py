@@ -167,6 +167,30 @@ def test_missing_command_exits_one(tmp_path, capsys):
     assert "command: required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("--epsilon", "exponents: eps_reg must be finite"),
+        ("--p", "exponents: p must be finite"),
+        ("forcing.value", "forcing.value: must be finite"),
+    ],
+)
+def test_non_finite_input_exits_one_naming_its_key(tmp_path, capsys, source, message, value):
+    out = tmp_path / "out"
+    args = ["solve", "--n", "2", "--m", "5", "--q", str(4.0 / 3.0), "--out", str(out)]
+    if source == "forcing.value":
+        cfg = _write(tmp_path, "run.cfg", f"forcing.value = {value}\n")
+        args += ["--strict-sobolev", "--config", cfg]
+    elif source == "--epsilon":
+        args += ["--strict-sobolev", "--epsilon", value]
+    else:
+        args += ["--p", value]
+    assert main(args) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exponents_command_writes_record(tmp_path):
     out = str(tmp_path / "out")
     code = main(

@@ -61,6 +61,15 @@ def test_tracking_objective_rejects_negative_alpha():
         tracking_objective(GridFunction.zeros(g), alpha=-0.5)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+def test_non_finite_alpha_is_rejected(alpha):
+    g = Grid(1, 3)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        tracking_objective(GridFunction.zeros(g), alpha=alpha)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        _cfg(alpha=alpha)
+
+
 def test_solution_operator_is_linear_for_quadratic_exponents():
     g = Grid(1, 15)
     mu = WeightField.constant(g, 1.0)
@@ -111,7 +120,7 @@ def test_gateaux_derivative_is_the_state_map_when_linear():
     h = GridFunction(g, rng.standard_normal(g.shape))
     cfg = _cfg(cg_tol=1e-12)
     w = gateaux_derivative(f, h, mu, QUAD, cfg)
-    psi_h = solution_operator(h, mu, QUAD, cfg)
+    psi_h = solution_operator(h, mu, QUAD, cfg.inner)
     np.testing.assert_allclose(w.values, psi_h.values, atol=1e-9)
 
 
@@ -124,8 +133,8 @@ def test_gateaux_derivative_matches_central_differences():
     cfg = _cfg(cg_tol=1e-12)
     w = gateaux_derivative(f, h, mu, TWO_PHASE, cfg)
     t = 1e-3
-    up = solution_operator(f + t * h, mu, TWO_PHASE, cfg)
-    dn = solution_operator(f - t * h, mu, TWO_PHASE, cfg)
+    up = solution_operator(f + t * h, mu, TWO_PHASE, cfg.inner)
+    dn = solution_operator(f - t * h, mu, TWO_PHASE, cfg.inner)
     fd = (up.values - dn.values) / (2.0 * t)
     rel = np.linalg.norm(fd - w.values) / np.linalg.norm(fd)
     assert rel <= 1e-3

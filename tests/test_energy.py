@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudophase import (
     EnergyBreakdown,
@@ -20,7 +22,8 @@ from pseudophase import (
     validate_exponents,
     weak_residual,
 )
-from pseudophase.energy import _raw_diffs, _raw_energy_decrease, _raw_gradient
+from pseudophase.energy import _raw_energy_decrease
+from pseudophase.grid import _diffs
 
 QUAD = Exponents(p=2.0, q=2.0, n=1, eps_reg=0.0)
 TWO_PHASE_2D = Exponents(p=4.0, q=4.0 / 3.0, n=2, eps_reg=1e-6)
@@ -298,6 +301,9 @@ def test_hessian_singular_without_regularization():
         dict(p=4.0, q=4.0 / 3.0, n=2, eps_reg=-1e-8),
         dict(p=4.0, q=4.0 / 3.0, n=2, eps_reg=0.0),
         dict(p=4.0, q=4.0 / 3.0, n=2, eps_reg=1e-6, strict_sobolev=True, q_override=1.5),
+        dict(p=float("inf"), q=4.0 / 3.0, n=2, eps_reg=1e-6),
+        dict(p=4.0, q=4.0 / 3.0, n=2, eps_reg=float("nan")),
+        dict(p=4.0, q=4.0 / 3.0, n=2, eps_reg=float("inf")),
     ],
 )
 def test_exponents_validation_rejections(kwargs):
@@ -395,16 +401,117 @@ def test_energy_is_convex_along_segments():
         assert lhs <= rhs + 1e-11 * max(1.0, abs(rhs))
 
 
-def test_raw_gradient_matches_public_gradient_bitwise():
-    g = Grid(2, 6)
-    u, f = _random_problem(g, 22)
-    mu = WeightField.ramp(g, 1.0)
-    e = TWO_PHASE_2D
-    raw = _raw_gradient(
-        u.values, f.values, mu.per_axis, e.p, e.q, e.eps_reg**2, g.h
-    )
-    pub = energy_gradient(u, f, mu, e)
-    assert np.array_equal(raw, pub.values)
+# The np.pad formulations that the slice kernels replaced, kept as bit-exact
+# references: every number the package produced before must be reproduced.
+
+
+def _pad_diffs(vals, h):
+    out = []
+    for axis in range(vals.ndim):
+        pad = [(1, 1) if a == axis else (0, 0) for a in range(vals.ndim)]
+        out.append(np.diff(np.pad(vals, pad), axis=axis) / h)
+    return out
+
+
+def _pad_gradient(u, f, mu, e):
+    h, eps2 = u.grid.h, e.eps_reg**2
+    acc = np.zeros(u.grid.shape)
+    for axis, g in enumerate(_pad_diffs(u.values, h)):
+        s2 = g * g + eps2
+        flux = s2 ** ((e.p - 2.0) / 2.0) * g + mu.per_axis[axis] * s2 ** ((e.q - 2.0) / 2.0) * g
+        acc = acc + (-np.diff(flux, axis=axis) / h)
+    return acc - f.values
+
+
+def _pad_from_nodal(nodal):
+    arrays = []
+    n = nodal.ndim
+    for axis in range(n):
+        pad = [(1, 1) if a == axis else (0, 0) for a in range(n)]
+        padded = np.pad(nodal, pad, mode="edge")
+        lo = [slice(None)] * n
+        hi = [slice(None)] * n
+        lo[axis] = slice(0, -1)
+        hi[axis] = slice(1, None)
+        arrays.append(0.5 * (padded[tuple(lo)] + padded[tuple(hi)]))
+    return arrays
+
+
+def _pad_transverse_sq(u, axis):
+    grid = u.grid
+    if grid.n == 1:
+        return np.zeros(grid.edge_shape(axis))
+    other = 1 - axis
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (1, 1)
+    padded = np.pad(_pad_diffs(u.values, grid.h)[other], pad)
+    lo = [slice(None)] * 2
+    hi = [slice(None)] * 2
+    lo[axis] = slice(0, -1)
+    hi[axis] = slice(1, None)
+    a = padded[tuple(lo)]
+    b = padded[tuple(hi)]
+    lo2 = [slice(None)] * 2
+    hi2 = [slice(None)] * 2
+    lo2[other] = slice(0, -1)
+    hi2[other] = slice(1, None)
+    avg = 0.25 * (a[tuple(lo2)] + a[tuple(hi2)] + b[tuple(lo2)] + b[tuple(hi2)])
+    return avg * avg
+
+
+def _pad_divergence_operator(u, mu, e):
+    h, eps2 = u.grid.h, e.eps_reg**2
+    acc = np.zeros(u.grid.shape)
+    for axis, g in enumerate(_pad_diffs(u.values, h)):
+        mag2 = g * g + _pad_transverse_sq(u, axis) + eps2
+        flux = mag2 ** ((e.p - 2.0) / 2.0) * g + mu.per_axis[axis] * mag2 ** ((e.q - 2.0) / 2.0) * g
+        acc = acc + (-np.diff(flux, axis=axis) / h)
+    return acc
+
+
+_REFERENCE_EXPONENTS = {
+    1: (Exponents(3.0, 1.5, 1, 1e-4), Exponents(2.0, 2.0, 1, 0.0)),
+    2: (TWO_PHASE_2D, Exponents(3.0, 2.0, 2, 1e-4), Exponents(2.0, 2.0, 2, 0.0)),
+}
+
+
+def _reference_case(n, m, seed, which):
+    """Grid, nodal weight samples (zero on part of the box), u, f, exponents."""
+    g = Grid(n, m)
+    rng = np.random.default_rng(seed)
+    nodal = np.maximum(0.0, rng.uniform(-1.0, 2.0, g.shape))
+    u, f = _random_problem(g, seed, scale=10.0 ** rng.integers(-2, 3))
+    exps = _REFERENCE_EXPONENTS[n]
+    return g, nodal, u, f, exps[which % len(exps)]
+
+
+_CASES = (st.integers(1, 2), st.integers(1, 9), st.integers(0, 2**32 - 1), st.integers(0, 2))
+
+
+@settings(max_examples=40)
+@given(*_CASES)
+def test_from_nodal_matches_the_pad_formula_bitwise(n, m, seed, which):
+    g, nodal, _, _, _ = _reference_case(n, m, seed, which)
+    mu = WeightField.from_nodal(g, GridFunction(g, nodal))
+    for got, want in zip(mu.per_axis, _pad_from_nodal(nodal)):
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=40)
+@given(*_CASES)
+def test_energy_gradient_matches_the_pad_formula_bitwise(n, m, seed, which):
+    g, nodal, u, f, e = _reference_case(n, m, seed, which)
+    mu = WeightField.from_nodal(g, GridFunction(g, nodal))
+    assert np.array_equal(energy_gradient(u, f, mu, e).values, _pad_gradient(u, f, mu, e))
+
+
+@settings(max_examples=40)
+@given(*_CASES)
+def test_divergence_operator_matches_the_pad_formula_bitwise(n, m, seed, which):
+    g, nodal, u, _, e = _reference_case(n, m, seed, which)
+    mu = WeightField.from_nodal(g, GridFunction(g, nodal))
+    got = apply_divergence_operator(u, mu, e).values
+    assert np.array_equal(got, _pad_divergence_operator(u, mu, e))
 
 
 def test_raw_energy_decrease_matches_energy_difference():
@@ -414,8 +521,8 @@ def test_raw_energy_decrease_matches_energy_difference():
     e = TWO_PHASE_2D
     d, _ = _random_problem(g, 24)
     cell = g.h**g.n
-    diffs = _raw_diffs(u.values, g.h)
-    dir_diffs = _raw_diffs(d.values, g.h)
+    diffs = _diffs(u.values, g.h)
+    dir_diffs = _diffs(d.values, g.h)
     f_dot = cell * float(np.sum(f.values * d.values))
     j0 = energy(u, f, mu, e).total
     for t in (1e-1, 1e-3, 1e-6):
@@ -436,8 +543,8 @@ def test_raw_energy_decrease_handles_vanishing_edges_without_eps():
     d = GridFunction(g, np.array([1.0, -1.0]))
     f = GridFunction.zeros(g)
     cell = g.h
-    diffs = _raw_diffs(u.values, g.h)
-    dir_diffs = _raw_diffs(d.values, g.h)
+    diffs = _diffs(u.values, g.h)
+    dir_diffs = _diffs(d.values, g.h)
     t = 0.25
     dj = _raw_energy_decrease(
         diffs, dir_diffs, 0.0, mu.per_axis, 2.0, 2.0, 0.0, cell, t

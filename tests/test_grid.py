@@ -62,6 +62,25 @@ def test_forward_diff_linearity(c):
     np.testing.assert_allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
 
 
+def _pad_forward_diff(vals, axis, h):
+    """forward_diff as written with np.pad before the slice kernel."""
+    pad = [(1, 1) if a == axis else (0, 0) for a in range(vals.ndim)]
+    return np.diff(np.pad(vals, pad), axis=axis) / h
+
+
+@settings(max_examples=50)
+@given(st.integers(1, 2), st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_difference_kernels_match_the_pad_formulas_bitwise(n, m, seed):
+    g = Grid(n, m)
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4, g.shape)
+    u = GridFunction(g, scale * rng.standard_normal(g.shape))
+    for axis in range(n):
+        d = forward_diff(u, axis).values
+        assert np.array_equal(d, _pad_forward_diff(u.values, axis, g.h))
+        assert np.array_equal(neg_divergence(EdgeField(g, axis, d)).values, -np.diff(d, axis=axis) / g.h)
+
+
 def test_quadrature_ones_2d():
     g = Grid(2, 3)
     assert quadrature(GridFunction.full(g, 1.0)) == 0.5625

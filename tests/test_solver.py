@@ -11,7 +11,6 @@ from pseudophase import (
     WeightField,
     sobolev_norm,
     solve_inner,
-    verify_weak_form,
     weak_residual,
 )
 
@@ -67,6 +66,23 @@ def test_energy_trace_is_strictly_decreasing():
     assert np.all(np.diff(trace) < 0.0)
 
 
+def test_energy_trace_never_increases_where_decreases_round_away():
+    # Near convergence the certified decrease drops below the rounding of J,
+    # so consecutive trace values can repeat (seven do here); none may rise.
+    g = Grid(2, 9)
+    mu = WeightField.from_nodal(
+        g, GridFunction.from_callable(g, lambda x, y: 2.0 * np.maximum(0.0, 2.0 * x - 1.0))
+    )
+    e = Exponents(4.0, 4.0 / 3.0, 2, 1e-4, strict_sobolev=True)
+    x, y = np.meshgrid(*g.node_coords(), indexing="ij")
+    f = GridFunction(g, np.sin(np.pi * x) * np.sin(np.pi * y))
+    rep = solve_inner(f, mu, e, SolverConfig(tol_grad=1e-6))
+    assert rep.converged
+    trace = np.asarray(rep.energy_trace)
+    assert trace.size == rep.iterations + 1
+    assert np.all(np.diff(trace) <= 0.0)
+
+
 def test_solution_scales_linearly_in_the_quadratic_case():
     g = Grid(1, 15)
     mu = WeightField.constant(g, 1.0)
@@ -86,8 +102,8 @@ def test_non_convergence_is_reported_not_masked():
     assert rep.status == "max_iters"
     assert not rep.converged
     assert rep.iterations == 3
-    with pytest.raises(ValueError, match="converged"):
-        verify_weak_form(rep, f, mu, QUAD_1D)
+    # The certificate is reported for every run and fails to pass here.
+    assert rep.weak_check > 1e-13 * g.h
 
 
 def test_weak_form_certificate_bound():
@@ -100,21 +116,23 @@ def test_weak_form_certificate_bound():
     rep = solve_inner(f, mu, e, cfg)
     assert rep.converged
     bound = cfg.tol_grad * g.h**g.n
-    checked = verify_weak_form(rep, f, mu, e)
-    assert checked <= bound
-    assert checked == rep.weak_check
+
+    def worst_nodal_residual(u):
+        worst = 0.0
+        probe = np.zeros(g.shape)
+        for idx in np.ndindex(g.shape):
+            probe[idx] = 1.0
+            worst = max(worst, abs(weak_residual(u, f, mu, e, GridFunction(g, probe))))
+            probe[idx] = 0.0
+        return worst
+
+    assert rep.weak_check <= bound
+    assert worst_nodal_residual(rep.u_star) == rep.weak_check
 
     # A visible perturbation of the minimizer must break the certificate.
     bumped_vals = rep.u_star.values.copy()
     bumped_vals[3, 3] += 1e-3
-    bumped = GridFunction(g, bumped_vals)
-    worst = 0.0
-    probe = np.zeros(g.shape)
-    for idx in np.ndindex(g.shape):
-        probe[idx] = 1.0
-        worst = max(worst, abs(weak_residual(bumped, f, mu, e, GridFunction(g, probe))))
-        probe[idx] = 0.0
-    assert worst > bound
+    assert worst_nodal_residual(GridFunction(g, bumped_vals)) > bound
 
 
 def test_minimizer_does_not_depend_on_the_start():
