@@ -188,6 +188,11 @@ def _require(kv: dict[str, object], key: str, kind: type, default=None):
     return value
 
 
+def _require_finite(key: str, value: float | None) -> None:
+    if value is not None and not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {value}")
+
+
 def parse_config(
     path: str | None = None, overrides: dict[str, object] | None = None
 ) -> RunConfig:
@@ -231,6 +236,8 @@ def parse_config(
         mu1=float(kv["weight.mu1"]) if "weight.mu1" in kv else None,
         path=kv.get("weight.path"),
     )
+    _require_finite("weight.mu0", weight.mu0)
+    _require_finite("weight.mu1", weight.mu1)
     if weight.kind not in ("constant", "ramp", "csv"):
         raise ConfigError(f"weight.kind: must be constant, ramp, or csv, got {weight.kind!r}")
     if weight.kind == "csv":
@@ -245,8 +252,7 @@ def parse_config(
         preset=_require(kv, "forcing.preset", str, default="sine"),
         path=kv.get("forcing.path"),
     )
-    if not math.isfinite(forcing.value):
-        raise ConfigError(f"forcing.value: must be finite, got {forcing.value}")
+    _require_finite("forcing.value", forcing.value)
     if forcing.kind not in ("constant", "preset", "csv"):
         raise ConfigError(
             f"forcing.kind: must be constant, preset, or csv, got {forcing.kind!r}"
@@ -268,6 +274,8 @@ def parse_config(
         cg_tol=float(_require(kv, "control.cg_tol", float, default=1e-10)),
         cg_max=_require(kv, "control.cg_max", int, default=0),
     )
+    _require_finite("control.tol_reduced", control.tol_reduced)
+    _require_finite("control.cg_tol", control.cg_tol)
     convexity = _ConvexitySpec(
         trials=_require(kv, "convexity.trials", int, default=1000),
         gamma=float(kv["convexity.gamma"]) if "convexity.gamma" in kv else None,
@@ -293,6 +301,7 @@ def parse_config(
         out=str(_require(kv, "out", str, default="out")),
         dump_energy_trace=bool(_require(kv, "dump_energy_trace", bool, default=False)),
     )
+    _require_finite("solver.tol", config.solver_tol)
     try:
         config.solver_config()
         ControlConfig(
@@ -400,6 +409,7 @@ def _cmd_solve(config: RunConfig) -> int:
             ("converged", report.converged),
             ("status", report.status),
             ("iterations", report.iterations),
+            ("matvecs", report.matvecs),
             ("final_grad_norm", report.final_grad_norm),
             ("weak_check", report.weak_check),
             ("energy_total", breakdown.total),

@@ -32,7 +32,7 @@ import numpy as np
 from .energy import Exponents, WeightField, hessian_apply
 from .errors import CGBreakdownError, InnerSolveError
 from .grid import Grid, GridFunction, inner_product
-from .solver import SolveReport, SolverConfig, _backtrack, _bb_step, solve_inner
+from .solver import SolveReport, SolverConfig, _backtrack, _cg, solve_inner
 
 __all__ = [
     "Objective",
@@ -134,12 +134,12 @@ class ControlConfig:
     backtrack: float = 0.5
 
     def __post_init__(self) -> None:
-        if not self.tol_reduced > 0.0:
-            raise ValueError(f"tol_reduced must be positive, got {self.tol_reduced}")
+        if not (self.tol_reduced > 0.0 and math.isfinite(self.tol_reduced)):
+            raise ValueError(f"tol_reduced must be finite and positive, got {self.tol_reduced}")
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
-        if not self.cg_tol > 0.0:
-            raise ValueError(f"cg_tol must be positive, got {self.cg_tol}")
+        if not (self.cg_tol > 0.0 and math.isfinite(self.cg_tol)):
+            raise ValueError(f"cg_tol must be finite and positive, got {self.cg_tol}")
         if not self.cg_tol < self.tol_reduced:
             raise ValueError(
                 f"cg_tol must be below tol_reduced, got {self.cg_tol} >= {self.tol_reduced}"
@@ -206,51 +206,26 @@ def solution_operator(
     return psi(f)
 
 
-def _cg(
-    apply_A: Callable[[np.ndarray], np.ndarray],
-    b: np.ndarray,
-    tol: float,
-    max_iters: int,
-) -> np.ndarray:
-    """Conjugate gradients with a non-positive-curvature guard."""
-    x = np.zeros_like(b)
-    b_norm = float(np.sqrt(np.sum(b * b)))
-    if b_norm == 0.0:
-        return x
-    r = b.copy()
-    p = r.copy()
-    rs = float(np.sum(r * r))
-    for _ in range(max_iters):
-        Ap = apply_A(p)
-        pAp = float(np.sum(p * Ap))
-        if pAp <= 0.0:
-            raise CGBreakdownError(
-                "non-positive curvature in the hessian system; "
-                "increase eps_reg to keep the linearization definite"
-            )
-        alpha = rs / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
-        rs_new = float(np.sum(r * r))
-        if np.sqrt(rs_new) <= tol * b_norm:
-            return x
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise CGBreakdownError(
-        f"conjugate gradients did not reach tol={tol:.1e} within {max_iters} iterations"
-    )
-
-
 def _hessian_solve(
     u: GridFunction, rhs: GridFunction, mu: WeightField, e: Exponents, cfg: ControlConfig
 ) -> GridFunction:
+    """Solve H(u) w = rhs by CG; CGBreakdownError unless it converges."""
     grid = u.grid
     cg_max = cfg.cg_max if cfg.cg_max > 0 else 10 * grid.n_nodes
 
     def apply_h(values: np.ndarray) -> np.ndarray:
         return hessian_apply(u, GridFunction(grid, values), mu, e).values
 
-    solution = _cg(apply_h, np.asarray(rhs.values), cfg.cg_tol, cg_max)
+    solution, reason = _cg(apply_h, np.asarray(rhs.values), cfg.cg_tol, cg_max)
+    if reason == "curvature":
+        raise CGBreakdownError(
+            "non-positive curvature in the hessian system; "
+            "increase eps_reg to keep the linearization definite"
+        )
+    if reason == "max_iters":
+        raise CGBreakdownError(
+            f"conjugate gradients did not reach tol={cfg.cg_tol:.1e} within {cg_max} iterations"
+        )
     return GridFunction(grid, solution)
 
 
@@ -279,6 +254,23 @@ def reduced_gradient(
     u = solution_operator(f, mu, e, cfg.inner, cache)
     lam = _hessian_solve(u, obj.grad_u(f, u), mu, e, cfg)
     return obj.grad_f(f, u) + lam
+
+
+_BB_CLAMP = (1e-14, 1e14)
+
+
+def _bb_step(prev_s: np.ndarray | None, prev_y: np.ndarray | None) -> float:
+    """Barzilai-Borwein trial step s.s / s.y from the last accepted step.
+
+    Clamped to _BB_CLAMP; 1.0 before the first step or when s.y <= 0.
+    """
+    if prev_s is None:
+        return 1.0
+    sy = float(np.dot(prev_s.ravel(), prev_y.ravel()))
+    if not sy > 0.0:
+        return 1.0
+    ss = float(np.dot(prev_s.ravel(), prev_s.ravel()))
+    return min(max(ss / sy, _BB_CLAMP[0]), _BB_CLAMP[1])
 
 
 def optimize_control(

@@ -137,6 +137,8 @@ def validate_exponents(
         raise ValueError(f"dimension must be 1 or 2, got {n}")
     if not q > 1.0:
         raise ValueError(f"q must exceed 1, got {q}")
+    if p_override is not None and not math.isfinite(p_override):
+        raise ValueError(f"p must be finite, got {p_override}")
     if mode == "strict":
         if not q < n:
             raise ValueError(
@@ -152,7 +154,7 @@ def validate_exponents(
         return Exponents(p=p, q=q, n=n, eps_reg=eps_reg, strict_sobolev=True)
     if p_override is None:
         raise ValueError("relaxed mode requires an explicit p")
-    if p_override <= q:  # a nan p falls through to the finiteness check
+    if p_override <= q:
         raise ValueError(
             f"relaxed mode requires q < p, got q={q}, p={p_override}"
         )
@@ -441,19 +443,17 @@ def weak_residual(
 
 
 def _hessian_coeff(g: np.ndarray, mu_axis: np.ndarray, e: Exponents) -> np.ndarray:
-    """Edge coefficient of hessian_apply: the derivative of _flux in g."""
+    """Edge coefficient of hessian_apply: the derivative of _flux in g.
+
+    With eps_reg = 0 it vanishes on every edge where g = 0 and the active
+    powers exceed 2; callers decide whether that is an error.
+    """
     g2 = g * g
     if e.eps_reg == 0.0:
         # pi = |g| exactly; exponents are >= 2 here (smaller ones require
         # eps_reg > 0 at construction), so g2**((p-2)/2) is well defined.
         coeff = (e.p - 1.0) * g2 ** ((e.p - 2.0) / 2.0)
-        coeff = coeff + mu_axis * (e.q - 1.0) * g2 ** ((e.q - 2.0) / 2.0)
-        if np.any(coeff == 0.0):
-            raise SingularLinearizationError(
-                "zero linearization coefficient on an edge with eps_reg = 0; "
-                "re-run with a positive regularization width"
-            )
-        return coeff
+        return coeff + mu_axis * (e.q - 1.0) * g2 ** ((e.q - 2.0) / 2.0)
     eps2 = e.eps_reg**2
     s2 = g2 + eps2
     coeff = s2 ** ((e.p - 4.0) / 2.0) * ((e.p - 1.0) * g2 + eps2)
@@ -474,15 +474,21 @@ def hessian_apply(
     which reduces to (p-1)|g|^(p-2) + mu (q-1)|g|^(q-2) at eps = 0.  The
     result is sum_i neg_div_i(a_i * d_i w): symmetric in the quadrature
     pairing and positive semidefinite, positive definite when every
-    coefficient is positive.
+    coefficient is positive.  Raises SingularLinearizationError when a
+    coefficient vanishes with eps_reg = 0.
     """
     _check_problem(u, mu, e)
     _check_same_grid(u.grid, w)
     h = u.grid.h
-    fluxes = [
-        _hessian_coeff(g, mu.per_axis[axis], e) * _diff(w.values, axis, h)
-        for axis, g in enumerate(_diffs(u.values, h))
+    coeffs = [
+        _hessian_coeff(g, mu.per_axis[axis], e) for axis, g in enumerate(_diffs(u.values, h))
     ]
+    if e.eps_reg == 0.0 and any(np.any(c == 0.0) for c in coeffs):
+        raise SingularLinearizationError(
+            "zero linearization coefficient on an edge with eps_reg = 0; "
+            "re-run with a positive regularization width"
+        )
+    fluxes = [c * _diff(w.values, axis, h) for axis, c in enumerate(coeffs)]
     return GridFunction(u.grid, _neg_div_sum(fluxes, h))
 
 

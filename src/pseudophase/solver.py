@@ -1,10 +1,17 @@
-"""Energy-descent solver for the discrete double-phase problem.
+"""Inexact Newton-CG solver for the discrete double-phase problem.
 
-Plain gradient descent with Armijo backtracking; the initial trial step of
-each iteration is a Barzilai-Borwein ratio from the previous accepted step
-when that ratio is positive, else 1.0.  No Newton step anywhere: the
-second-order coefficients degenerate where gradients vanish, and descent
-with backtracking is robust to that.
+Each step solves the Newton system H(u) d = g approximately, where H is
+the Hessian of the power terms and g the nodal energy gradient, and then
+takes the Armijo step u - t*d by backtracking from t = 1.  The system is
+solved by truncated conjugate gradients (Steihaug) from d = 0 to the
+relative residual of an Eisenstat-Walker forcing term.  CG truncates when
+it runs out of iterations or meets a direction whose curvature is
+non-positive or numerically null (at most a 1e-12 fraction of the
+Gershgorin bound of H); it then returns its current iterate, or g itself,
+the steepest-descent direction, when the first direction already failed.
+At eps_reg = 0, where H can be singular (the coefficients vanish on edges
+with a zero difference where mu = 0), the method thus degrades to
+gradient descent instead of failing.
 
 Convergence is declared on the max-norm of the energy gradient.  Because
 the gradient component at node k equals the weak residual against the
@@ -12,12 +19,13 @@ nodal indicator at k divided by the cell volume, the weak-form certificate
 report.weak_check <= tol_grad * h**n is an identity for converged reports,
 not an approximation.
 
-The Barzilai-Borwein step and the backtracking line search are shared with
-the outer control loop.
+The conjugate-gradient routine and the backtracking line search are shared
+with the adjoint solves and the outer loop of the control module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -26,33 +34,80 @@ import numpy as np
 from .energy import (
     Exponents,
     WeightField,
+    _hessian_coeff,
     _pseudo_operator,
     _raw_energy_decrease,
     energy,
     weak_residual,
 )
-from .grid import GridFunction, _diffs
+from .grid import GridFunction, _diff, _diffs, _neg_div_sum
 
 __all__ = ["SolverConfig", "SolveReport", "solve_inner"]
 
 #: Below this trial step the line search is declared stalled.
 STEP_FLOOR = 1e-16
 
-_BB_CLAMP = (1e-14, 1e14)
+#: CG treats a direction p with p.Hp <= _CURVATURE_FLOOR * (Gershgorin bound
+#: of H) * p.p as having null curvature.
+_CURVATURE_FLOOR = 1e-12
+
+# Eisenstat-Walker forcing terms, their choice 2 with the recommended
+# constants: eta = GAMMA * (|g_k| / |g_{k-1}|)**ALPHA, kept above
+# GAMMA * eta_prev**ALPHA while that exceeds 0.1, and at most ETA_MAX.
+_ETA_0 = 0.5
+_ETA_MAX = 0.9
+_EW_GAMMA = 0.9
+_EW_ALPHA = 2.0
 
 
-def _bb_step(prev_s: np.ndarray | None, prev_y: np.ndarray | None) -> float:
-    """Barzilai-Borwein trial step s.s / s.y from the last accepted step.
+def _cg(
+    apply_A: Callable[[np.ndarray], np.ndarray],
+    b: np.ndarray,
+    tol: float,
+    max_iters: int,
+    curvature_floor: float = 0.0,
+) -> tuple[np.ndarray, str]:
+    """Conjugate gradients for A x = b from x = 0; returns (x, reason).
 
-    Clamped to _BB_CLAMP; 1.0 before the first step or when s.y <= 0.
+    reason is "converged" once |r| <= tol * |b|, "curvature" when a search
+    direction p has p.Ap <= curvature_floor * p.p, and "max_iters" when the
+    iterations run out.  On "curvature" x is the iterate before that
+    direction, or b itself when the first direction already failed.
     """
-    if prev_s is None:
-        return 1.0
-    sy = float(np.dot(prev_s.ravel(), prev_y.ravel()))
-    if not sy > 0.0:
-        return 1.0
-    ss = float(np.dot(prev_s.ravel(), prev_s.ravel()))
-    return min(max(ss / sy, _BB_CLAMP[0]), _BB_CLAMP[1])
+    x = np.zeros_like(b)
+    b_norm = float(np.sqrt(np.sum(b * b)))
+    if b_norm == 0.0:
+        return x, "converged"
+    r = b.copy()
+    p = r.copy()
+    rs = float(np.sum(r * r))
+    for k in range(max_iters):
+        Ap = apply_A(p)
+        pAp = float(np.sum(p * Ap))
+        if pAp <= curvature_floor * float(np.sum(p * p)):
+            return (b if k == 0 else x), "curvature"
+        alpha = rs / pAp
+        x = x + alpha * p
+        r = r - alpha * Ap
+        rs_new = float(np.sum(r * r))
+        if np.sqrt(rs_new) <= tol * b_norm:
+            return x, "converged"
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return x, "max_iters"
+
+
+def _forcing_term(eta: float, g_norm: float, prev_norm: float, tol_grad: float) -> float:
+    """The Eisenstat-Walker forcing term that follows eta.
+
+    Kept above 0.5 * tol_grad / g_norm: a linear residual below half the
+    tolerance buys nothing.
+    """
+    new = _EW_GAMMA * (g_norm / prev_norm) ** _EW_ALPHA
+    safeguard = _EW_GAMMA * eta**_EW_ALPHA
+    if safeguard > 0.1:
+        new = max(new, safeguard)
+    return max(min(new, _ETA_MAX), 0.5 * tol_grad / g_norm)
 
 
 def _backtrack(
@@ -79,14 +134,14 @@ def _backtrack(
 @dataclass(frozen=True)
 class SolverConfig:
     tol_grad: float = 1e-8
-    max_iters: int = 50_000
+    max_iters: int = 50_000  # Newton steps
     armijo_c: float = 1e-4
     backtrack: float = 0.5
     init: GridFunction | None = None
 
     def __post_init__(self) -> None:
-        if not self.tol_grad > 0.0:
-            raise ValueError(f"tol_grad must be positive, got {self.tol_grad}")
+        if not (self.tol_grad > 0.0 and math.isfinite(self.tol_grad)):
+            raise ValueError(f"tol_grad must be finite and positive, got {self.tol_grad}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not 0.0 < self.armijo_c < 1.0:
@@ -97,10 +152,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one descent run; immutable."""
+    """Outcome of one Newton run; immutable."""
 
     u_star: GridFunction
-    iterations: int
+    iterations: int  # Newton steps taken
+    matvecs: int  # Hessian products spent on the Newton systems
     final_grad_norm: float
     energy_trace: tuple[float, ...]
     weak_check: float
@@ -137,12 +193,12 @@ def solve_inner(
     """Minimize the discrete energy for forcing f; never raises on slow runs.
 
     Returns the best iterate with status "max_iters" or "stalled" when the
-    iteration cap is hit or no representable step makes certified progress;
-    status "converged" means final_grad_norm <= tol_grad.  The energy trace
-    holds the initial energy followed by the post-step values.  Every
-    accepted step is certified to decrease J, so the trace never increases;
-    a value repeats only when the certified decrease is below the rounding
-    of J.
+    Newton step cap is hit or no representable step makes certified
+    progress; status "converged" means final_grad_norm <= tol_grad.  The
+    energy trace holds the initial energy followed by the post-step values.
+    Every accepted step is certified to decrease J, so the trace never
+    increases; a value repeats only when the certified decrease is below the
+    rounding of J.
     """
     grid = f.grid
     if cfg.init is None:
@@ -155,6 +211,7 @@ def solve_inner(
     p, q, eps2 = e.p, e.q, e.eps_reg**2
     h = grid.h
     cell = h**grid.n
+    gershgorin = 4.0 * grid.n / h**2
     vals = u.values.copy()
     f_vals = f.values
     mu_axes = mu.per_axis
@@ -165,39 +222,54 @@ def solve_inner(
     trace = [j_val]
     status = "max_iters"
     iterations = 0
-    prev_s: np.ndarray | None = None
-    prev_y: np.ndarray | None = None
+    matvecs = 0
+    eta = _ETA_0
+    prev_norm: float | None = None
 
     for _ in range(cfg.max_iters):
-        grad_norm = float(np.max(np.abs(g)))
-        if grad_norm <= cfg.tol_grad:
+        if float(np.max(np.abs(g))) <= cfg.tol_grad:
             status = "converged"
             break
 
-        decrease = cfg.armijo_c * cell * float(np.sum(g * g))
-        dir_diffs = _diffs(g, h)
-        f_dot_dir = cell * float(np.sum(f_vals * g))
+        g_norm = float(np.sqrt(np.sum(g * g)))
+        if prev_norm is not None:
+            eta = _forcing_term(eta, g_norm, prev_norm, cfg.tol_grad)
+        prev_norm = g_norm
+        coeffs = [_hessian_coeff(dg, mu_axes[axis], e) for axis, dg in enumerate(diffs)]
+        floor = _CURVATURE_FLOOR * gershgorin * max(float(np.max(c)) for c in coeffs)
+
+        def apply_h(w: np.ndarray) -> np.ndarray:
+            nonlocal matvecs
+            matvecs += 1
+            return _neg_div_sum([c * _diff(w, axis, h) for axis, c in enumerate(coeffs)], h)
+
+        d, _ = _cg(apply_h, g, eta, vals.size, floor)
+        slope = float(np.sum(g * d))
+        if not slope > 0.0:
+            # Round-off can tip a long CG iterate off descent; the Armijo
+            # test needs a positive slope to certify a decrease.
+            d, slope = g, float(np.sum(g * g))
+        dir_diffs = _diffs(d, h)
+        f_dot_dir = cell * float(np.sum(f_vals * d))
 
         def trial(t: float) -> tuple[float, None]:
             dj = _raw_energy_decrease(diffs, dir_diffs, f_dot_dir, mu_axes, p, q, eps2, cell, t)
             return dj, None
 
-        accepted = _backtrack(trial, _bb_step(prev_s, prev_y), cfg.backtrack, 0.0, decrease)
+        accepted = _backtrack(trial, 1.0, cfg.backtrack, 0.0, cfg.armijo_c * cell * slope)
         if accepted is None:
             status = "stalled"
             break
         t, dj, _ = accepted
-        new_vals = vals - t * g
+        new_vals = vals - t * d
         if np.array_equal(new_vals, vals):
             # The certified step is below the resolution of the iterate.
             status = "stalled"
             break
 
-        diffs = _diffs(new_vals, h)
-        g_new = _pseudo_operator(diffs, mu_axes, e, h) - f_vals
-        prev_s = new_vals - vals
-        prev_y = g_new - g
-        vals, g = new_vals, g_new
+        vals = new_vals
+        diffs = _diffs(vals, h)
+        g = _pseudo_operator(diffs, mu_axes, e, h) - f_vals
         j_val = j_val + dj
         trace.append(j_val)
         iterations += 1
@@ -211,6 +283,7 @@ def solve_inner(
     return SolveReport(
         u_star=u,
         iterations=iterations,
+        matvecs=matvecs,
         final_grad_norm=final_grad_norm,
         energy_trace=tuple(trace),
         weak_check=weak_check,

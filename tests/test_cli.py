@@ -174,18 +174,23 @@ def test_missing_command_exits_one(tmp_path, capsys):
         ("--epsilon", "exponents: eps_reg must be finite"),
         ("--p", "exponents: p must be finite"),
         ("forcing.value", "forcing.value: must be finite"),
+        ("--strict-sobolev --p", "exponents: p must be finite"),
+        ("--tol", "solver.tol: must be finite"),
+        ("control.tol_reduced", "control.tol_reduced: must be finite"),
+        ("control.cg_tol", "control.cg_tol: must be finite"),
+        ("--mu-const", "weight.mu0: must be finite"),
+        ("weight.mu1", "weight.mu1: must be finite"),
     ],
 )
 def test_non_finite_input_exits_one_naming_its_key(tmp_path, capsys, source, message, value):
+    # Without --p the mode is strict, so only a lone --p runs relaxed.
     out = tmp_path / "out"
     args = ["solve", "--n", "2", "--m", "5", "--q", str(4.0 / 3.0), "--out", str(out)]
-    if source == "forcing.value":
-        cfg = _write(tmp_path, "run.cfg", f"forcing.value = {value}\n")
-        args += ["--strict-sobolev", "--config", cfg]
-    elif source == "--epsilon":
-        args += ["--strict-sobolev", "--epsilon", value]
+    if "." in source:
+        cfg = _write(tmp_path, "run.cfg", f"{source} = {value}\n")
+        args += ["--config", cfg]
     else:
-        args += ["--p", value]
+        args += [*source.split(), value]
     assert main(args) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
@@ -215,6 +220,7 @@ def test_solve_with_zero_forcing_is_immediate(tmp_path):
     rec = _read_record(tmp_path / "out" / "report.txt")
     assert rec["converged"] == "true"
     assert rec["iterations"] == "0"
+    assert rec["matvecs"] == "0"
     u = read_grid_function(str(tmp_path / "out" / "u.csv"))
     assert not u.values.any()
     # The regularized energy of the zero field is the eps floor, not 0.
@@ -224,6 +230,34 @@ def test_solve_with_zero_forcing_is_immediate(tmp_path):
         GridFunction.zeros(g), GridFunction.zeros(g), WeightField.constant(g, 1.0), e
     ).total
     assert float(rec["energy_total"]) == floor
+
+
+README_SOLVE = """
+command = solve
+grid.n = 2
+grid.m = 9
+exponents.q = 4/3
+exponents.mode = strict     # derives p = 4 from 1/p = 1/q - 1/n
+exponents.epsilon = 1e-4
+weight.kind = ramp
+weight.mu1 = 2.0
+forcing.kind = preset
+forcing.preset = sine
+solver.tol = 1e-6
+seed = 0
+"""
+
+
+def test_readme_example_reports_its_matvecs(tmp_path):
+    cfg = _write(tmp_path, "run.cfg", README_SOLVE)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    keys = [line.partition(" = ")[0] for line in open(out / "report.txt", encoding="ascii")]
+    assert keys[keys.index("iterations") + 1] == "matvecs"
+    rec = _read_record(out / "report.txt")
+    assert rec["converged"] == "true"
+    assert int(rec["iterations"]) > 0
+    assert int(rec["matvecs"]) > 0
 
 
 def test_solve_artifacts_are_byte_stable(tmp_path):

@@ -20,7 +20,9 @@ from pseudophase import (
     solution_operator,
     tracking_objective,
 )
-from pseudophase.control import _cg
+from pseudophase import control
+from pseudophase.control import _hessian_solve
+from pseudophase.solver import _cg
 
 QUAD = Exponents(2.0, 2.0, 1, 0.0)
 TWO_PHASE = Exponents(4.0, 4.0 / 3.0, 1, 1e-4)
@@ -140,16 +142,34 @@ def test_gateaux_derivative_matches_central_differences():
     assert rel <= 1e-3
 
 
-def test_cg_guard_raises_on_negative_curvature():
+def test_cg_guard_raises_on_negative_curvature(monkeypatch):
     b = np.ones(4)
+    x, reason = _cg(lambda x: -x, b, tol=1e-10, max_iters=10)
+    assert reason == "curvature"
+    # The first direction failed, so CG hands back b, the steepest descent.
+    assert np.array_equal(x, b)
+
+    g = Grid(1, 7)
+    mu = WeightField.constant(g, 1.0)
+    u = GridFunction(g, np.sin(np.pi * g.node_coords()[0]))
+    real = control.hessian_apply
+    monkeypatch.setattr(control, "hessian_apply", lambda u, w, mu, e: -real(u, w, mu, e))
     with pytest.raises(CGBreakdownError, match="curvature"):
-        _cg(lambda x: -x, b, tol=1e-10, max_iters=10)
+        _hessian_solve(u, GridFunction.full(g, 1.0), mu, TWO_PHASE, _cfg())
 
 
 def test_cg_raises_when_iterations_run_out():
     A = np.diag(np.arange(1.0, 9.0))
+    x, reason = _cg(lambda x: A @ x, np.ones(8), tol=1e-14, max_iters=2)
+    assert reason == "max_iters"
+    assert np.all(np.isfinite(x)) and x.any()
+
+    g = Grid(1, 8)
+    mu = WeightField.constant(g, 1.0)
+    u = GridFunction(g, np.sin(np.pi * g.node_coords()[0]))
+    rhs = GridFunction(g, np.arange(1.0, 9.0))
     with pytest.raises(CGBreakdownError, match="did not reach"):
-        _cg(lambda x: A @ x, np.ones(8), tol=1e-14, max_iters=2)
+        _hessian_solve(u, rhs, mu, TWO_PHASE, _cfg(cg_tol=1e-14, cg_max=2))
 
 
 def test_reduced_gradient_without_state_coupling_is_grad_f():

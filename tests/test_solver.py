@@ -1,5 +1,7 @@
 """Descent solver and weak-form certificate tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,15 @@ from pseudophase import (
     Exponents,
     Grid,
     GridFunction,
+    SingularLinearizationError,
     SolverConfig,
     WeightField,
+    hessian_apply,
     sobolev_norm,
     solve_inner,
     weak_residual,
 )
+from pseudophase.solver import _cg
 
 QUAD_1D = Exponents(2.0, 2.0, 1, 0.0)
 
@@ -67,8 +72,9 @@ def test_energy_trace_is_strictly_decreasing():
 
 
 def test_energy_trace_never_increases_where_decreases_round_away():
-    # Near convergence the certified decrease drops below the rounding of J,
-    # so consecutive trace values can repeat (seven do here); none may rise.
+    # Near convergence the certified decrease can drop below the rounding of
+    # J, so consecutive trace values may repeat (none do here: Newton reaches
+    # the tolerance in about nine steps); none may rise.
     g = Grid(2, 9)
     mu = WeightField.from_nodal(
         g, GridFunction.from_callable(g, lambda x, y: 2.0 * np.maximum(0.0, 2.0 * x - 1.0))
@@ -95,15 +101,39 @@ def test_solution_scales_linearly_in_the_quadratic_case():
 
 
 def test_non_convergence_is_reported_not_masked():
-    g = Grid(1, 31)
-    mu = WeightField.constant(g, 1.0)
-    f = GridFunction.full(g, 2.0)
-    rep = solve_inner(f, mu, QUAD_1D, SolverConfig(tol_grad=1e-13, max_iters=3))
+    # A quadratic problem is one Newton system, so it would converge within
+    # the cap; the two-phase one needs about ten steps.
+    g = Grid(2, 7)
+    mu = WeightField.ramp(g, 2.0)
+    e = Exponents(4.0, 4.0 / 3.0, 2, 1e-4, strict_sobolev=True)
+    f = GridFunction.from_callable(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+    rep = solve_inner(f, mu, e, SolverConfig(tol_grad=1e-13, max_iters=3))
     assert rep.status == "max_iters"
     assert not rep.converged
     assert rep.iterations == 3
     # The certificate is reported for every run and fails to pass here.
     assert rep.weak_check > 1e-13 * g.h
+
+
+@pytest.mark.parametrize("n, m", [(1, 63), (2, 15)])
+@pytest.mark.parametrize("p, weight", [(3.0, "ramp"), (4.0, "zero")])
+def test_unregularized_problems_with_a_singular_hessian_converge(n, m, p, weight):
+    # With eps_reg = 0 and q = 2 the Hessian coefficient at u = 0 is mu, so H
+    # is singular wherever mu = 0; Newton-CG must fall back to descent there
+    # instead of dividing by null curvature.
+    g = Grid(n, m)
+    mu = WeightField.ramp(g, 2.0) if weight == "ramp" else WeightField.constant(g, 0.0)
+    e = Exponents(p, 2.0, n, 0.0)
+    f = GridFunction.from_callable(g, lambda *x: np.prod(np.sin(np.pi * np.array(x)), axis=0))
+    zero = GridFunction.zeros(g)
+    with pytest.raises(SingularLinearizationError):
+        hessian_apply(zero, f, mu, e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = solve_inner(f, mu, e, SolverConfig(tol_grad=1e-6))
+    assert rep.converged
+    assert rep.iterations > 0 and rep.matvecs > 0
+    assert rep.weak_check <= 1e-6 * g.h**n
 
 
 def test_weak_form_certificate_bound():
@@ -187,3 +217,18 @@ def test_init_must_live_on_the_same_grid():
     bad = SolverConfig(init=GridFunction.zeros(Grid(1, 9)))
     with pytest.raises(ValueError, match="grid"):
         solve_inner(GridFunction.zeros(g), mu, QUAD_1D, bad)
+
+
+def test_cg_truncates_at_null_curvature_with_its_current_iterate():
+    # The second direction lies in the near-null eigenspace: CG keeps the
+    # first iterate, the minimizer of the model along b, instead of dividing
+    # by the tiny curvature.
+    A = np.diag([1.0, 1e-20])
+    b = np.array([1.0, 1.0])
+    x, reason = _cg(lambda v: A @ v, b, tol=1e-12, max_iters=10, curvature_floor=1e-12)
+    assert reason == "curvature"
+    step = (b @ b) / (b @ A @ b)
+    assert np.array_equal(x, step * b)
+    x, reason = _cg(lambda v: A @ v, b, tol=1e-12, max_iters=10)
+    assert reason == "converged"
+    assert np.max(np.abs(x)) > 1e19
