@@ -1,9 +1,12 @@
 """Descent solver and weak-form certificate tests."""
 
+import importlib
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudophase import (
     Exponents,
@@ -17,7 +20,12 @@ from pseudophase import (
     solve_inner,
     weak_residual,
 )
-from pseudophase.solver import _cg
+from pseudophase.solver import _cg, _nodal_weak_residuals
+
+# The package exports the function `energy`, which shadows its module.
+energy_module = importlib.import_module("pseudophase.energy")
+grid_module = importlib.import_module("pseudophase.grid")
+solver_module = importlib.import_module("pseudophase.solver")
 
 QUAD_1D = Exponents(2.0, 2.0, 1, 0.0)
 
@@ -232,3 +240,146 @@ def test_cg_truncates_at_null_curvature_with_its_current_iterate():
     x, reason = _cg(lambda v: A @ v, b, tol=1e-12, max_iters=10)
     assert reason == "converged"
     assert np.max(np.abs(x)) > 1e19
+
+
+def _indicator_loop(u, f, mu, e):
+    """weak_residual against the indicator of every node, one call per node."""
+    out = np.empty(u.grid.shape)
+    probe = np.zeros(u.grid.shape)
+    for idx in np.ndindex(u.grid.shape):
+        probe[idx] = 1.0
+        out[idx] = weak_residual(u, f, mu, e, GridFunction(u.grid, probe))
+        probe[idx] = 0.0
+    return out
+
+
+def _loop_certificate(u, f, mu, e):
+    """The certificate as one weak_residual call per node: the oracle."""
+    worst = 0.0
+    for r in _indicator_loop(u, f, mu, e).flat:
+        worst = max(worst, abs(r))
+    return worst
+
+
+def _certificate(u, f, mu, e):
+    """weak_check as solve_inner computes it."""
+    return float(np.max(np.abs(_nodal_weak_residuals(u, f, mu, e))))
+
+
+def _certificate_exponents(n):
+    cases = [
+        Exponents(3.0, 1.5, n, 1e-4),
+        Exponents(3.0, 2.0, n, 0.0),
+        Exponents(4.0, 2.5, n, 0.0),
+        Exponents(2.5, 2.0, n, 1e-2),
+    ]
+    if n == 2:
+        cases.append(Exponents(4.0, 4.0 / 3.0, 2, 1e-4, strict_sobolev=True))
+    return cases
+
+
+def _certificate_case(n, m, seed, which):
+    """A random state with zero edges, on a weight that vanishes in places."""
+    g = Grid(n, m)
+    rng = np.random.default_rng(seed)
+    cases = _certificate_exponents(n)
+    e = cases[which % len(cases)]
+    kind = rng.integers(3)
+    if kind == 0:
+        mu = WeightField.from_edge_values(
+            g, [np.maximum(0.0, rng.standard_normal(g.edge_shape(a))) for a in range(n)]
+        )
+    else:
+        mu = WeightField.ramp(g, 2.0) if kind == 1 else WeightField.constant(g, 0.0)
+    vals = 10.0 ** rng.uniform(-4.0, 1.0) * rng.standard_normal(g.shape)
+    vals[rng.random(g.shape) < 0.3] = 0.0
+    u = GridFunction(g, vals)
+    f = GridFunction(g, 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal(g.shape))
+    return u, f, mu, e
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(0, 4))
+def test_one_pass_certificate_equals_the_indicator_loop(n, m, seed, which):
+    u, f, mu, e = _certificate_case(n, m, seed, which)
+    assert np.array_equal(_nodal_weak_residuals(u, f, mu, e), _indicator_loop(u, f, mu, e))
+    assert _certificate(u, f, mu, e) == _loop_certificate(u, f, mu, e)
+
+
+@pytest.mark.parametrize("n, m, seed", [(1, 31, 1), (2, 9, 2), (2, 16, 3)])
+def test_nodal_residuals_pair_with_smooth_test_fields(n, m, seed):
+    # Summation by parts: the weak residual against any phi is the nodal
+    # residual array paired with phi.
+    u, f, mu, e = _certificate_case(n, m, seed, seed)
+    rng = np.random.default_rng(seed)
+    residuals = _nodal_weak_residuals(u, f, mu, e)
+    coords = np.meshgrid(*u.grid.node_coords(), indexing="ij")
+    for _ in range(4):
+        modes = rng.integers(1, 4, size=n)
+        smooth = np.prod([np.sin(np.pi * k * x) for k, x in zip(modes, coords)], axis=0)
+        phi = GridFunction(u.grid, rng.uniform(0.5, 2.0) * smooth)
+        paired = residuals * phi.values
+        assert weak_residual(u, f, mu, e, phi) == pytest.approx(
+            float(np.sum(paired)), rel=1e-12, abs=1e-13 * float(np.sum(np.abs(paired)))
+        )
+
+
+def test_certificate_needs_no_divergence_kernel_and_no_per_node_call(monkeypatch):
+    # With every gradient kernel and weak_residual raising, the certificate
+    # still reproduces the loop: it is independent of the gradient Newton
+    # drives to zero, and it cannot be a per-node loop over weak_residual.
+    u, f, mu, e = _certificate_case(2, 63, 5, 1)
+    expected = _loop_certificate(u, f, mu, e)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the certificate called a gradient kernel")
+
+    for module, name in [
+        (grid_module, "_neg_div"),
+        (grid_module, "_neg_div_sum"),
+        (energy_module, "_neg_div_sum"),
+        (energy_module, "_pseudo_operator"),
+        (energy_module, "weak_residual"),
+        (solver_module, "_neg_div_sum"),
+        (solver_module, "_pseudo_operator"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    assert _certificate(u, f, mu, e) == expected
+
+
+@pytest.mark.parametrize("where", ["forcing", "initial iterate"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_inner_rejects_non_finite_forcing_or_start(where, bad):
+    g = Grid(2, 5)
+    mu = WeightField.constant(g, 1.0)
+    e = Exponents(4.0, 4.0 / 3.0, 2, 1e-4, strict_sobolev=True)
+    f = GridFunction.from_callable(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+    vals = np.zeros(g.shape)
+    vals[2, 2] = bad
+    cfg = SolverConfig(max_iters=5)
+    if where == "forcing":
+        f = GridFunction(g, f.values + vals)
+    else:
+        cfg = SolverConfig(max_iters=5, init=GridFunction(g, vals))
+    with pytest.raises(ValueError, match=f"{where} values must be finite"):
+        solve_inner(f, mu, e, cfg)
+
+
+def test_a_nan_residual_is_not_certified_as_zero():
+    # A finite start large enough that the fluxes on both sides of the middle
+    # node overflow to +inf: its residual is inf - inf = nan.  The indicator
+    # loop reads max(0.0, nan) as 0.0, a perfect certificate.
+    g = Grid(2, 5)
+    mu = WeightField.constant(g, 1.0)
+    e = Exponents(4.0, 4.0 / 3.0, 2, 1e-4, strict_sobolev=True)
+    f = GridFunction.from_callable(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+    vals = np.zeros(g.shape)
+    vals[1:4, 2] = [1e200, 2e200, 3e200]
+    start = GridFunction(g, vals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _loop_certificate(start, f, mu, e) == 0.0
+        assert np.isnan(_certificate(start, f, mu, e))
+        rep = solve_inner(f, mu, e, SolverConfig(max_iters=5, init=start))
+    assert not rep.converged
+    assert np.isnan(rep.final_grad_norm)
+    assert np.isnan(rep.weak_check)
