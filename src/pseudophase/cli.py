@@ -2,6 +2,8 @@
 
 Config files are flat ``key = value`` text with dotted section prefixes
 (grid.m, exponents.q, ...); command-line flags override file values.
+Each key is one row of ``_KEYS`` (type, default, allowed values), and one
+function, ``_parse``, checks every value against its row.
 Reports are line-oriented key/value records so acceptance fixtures can be
 diffed byte for byte; wall time is echoed to stdout only, never written
 into an artifact, to keep reruns bit-identical.
@@ -14,7 +16,9 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -37,127 +41,99 @@ __all__ = ["RunConfig", "parse_config", "run", "main"]
 
 _COMMANDS = ("solve", "compare-ops", "convexity", "control", "exponents")
 
-_KNOWN_KEYS = {
-    "command",
-    "seed",
-    "out",
-    "dump_energy_trace",
-    "grid.n",
-    "grid.m",
-    "exponents.q",
-    "exponents.p",
-    "exponents.mode",
-    "exponents.epsilon",
-    "weight.kind",
-    "weight.mu0",
-    "weight.mu1",
-    "weight.path",
-    "forcing.kind",
-    "forcing.value",
-    "forcing.preset",
-    "forcing.path",
-    "solver.tol",
-    "solver.max_iters",
-    "solver.armijo",
-    "solver.backtrack",
-    "control.alpha",
-    "control.tol_reduced",
-    "control.max_outer",
-    "control.cg_tol",
-    "control.cg_max",
-    "convexity.trials",
-    "convexity.gamma",
+#: Every config key: (type, default, allowed values or None).  A default of
+#: None leaves the key unset; the two keys in _REQUIRED must be given.
+_KEYS: dict[str, tuple[type, object, tuple[str, ...] | None]] = {
+    "command": (str, None, _COMMANDS),
+    "seed": (int, 0, None),
+    "out": (str, "out", None),
+    "dump_energy_trace": (bool, False, None),
+    "grid.n": (int, 1, None),
+    "grid.m": (int, 15, None),
+    "exponents.q": (float, None, None),
+    "exponents.p": (float, None, None),
+    "exponents.mode": (str, "strict", ("strict", "relaxed")),
+    "exponents.epsilon": (float, DEFAULT_EPS_REG, None),
+    "weight.kind": (str, "constant", ("constant", "ramp", "csv")),
+    "weight.mu0": (float, 1.0, None),
+    "weight.mu1": (float, None, None),
+    "weight.path": (str, None, None),
+    "forcing.kind": (str, "constant", ("constant", "preset", "csv")),
+    "forcing.value": (float, 1.0, None),
+    "forcing.preset": (str, "sine", ("sine", "bump")),
+    "forcing.path": (str, None, None),
+    "solver.tol": (float, 1e-6, None),
+    "solver.max_iters": (int, 50_000, None),
+    "solver.armijo": (float, 1e-4, None),
+    "solver.backtrack": (float, 0.5, None),
+    "control.alpha": (float, 1e-6, None),
+    "control.tol_reduced": (float, 1e-5, None),
+    "control.max_outer": (int, 10_000, None),
+    "control.cg_tol": (float, 1e-10, None),
+    "control.cg_max": (int, 0, None),
+    "convexity.trials": (int, 1000, None),
+    "convexity.gamma": (float, None, None),
 }
 
-_PRESETS = ("sine", "bump")
+_REQUIRED = ("command", "exponents.q")
 
-
-@dataclass(frozen=True)
-class _WeightSpec:
-    kind: str = "constant"
-    mu0: float = 1.0
-    mu1: float | None = None
-    path: str | None = None
-
-
-@dataclass(frozen=True)
-class _ForcingSpec:
-    kind: str = "constant"
-    value: float = 1.0
-    preset: str = "sine"
-    path: str | None = None
-
-
-@dataclass(frozen=True)
-class _ControlSpec:
-    alpha: float = 1e-6
-    tol_reduced: float = 1e-5
-    max_outer: int = 10_000
-    cg_tol: float = 1e-10
-    cg_max: int = 0
-
-
-@dataclass(frozen=True)
-class _ConvexitySpec:
-    trials: int = 1000
-    gamma: float | None = None
+#: Lower bounds of the keys that no record checks when it is built.
+_AT_LEAST = {"seed": 0, "convexity.trials": 1, "convexity.gamma": 1.0}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
+    """The records one run needs, plus every key's parsed value by name."""
+
     grid: Grid
     exponents: Exponents
-    weight: _WeightSpec = _WeightSpec()
-    forcing: _ForcingSpec = _ForcingSpec()
-    solver_tol: float | None = None
-    solver_max_iters: int = 50_000
-    solver_armijo: float = 1e-4
-    solver_backtrack: float = 0.5
-    control: _ControlSpec = _ControlSpec()
-    convexity: _ConvexitySpec = _ConvexitySpec()
-    seed: int = 0
-    out: str = "out"
-    dump_energy_trace: bool = False
+    solver: SolverConfig
+    control: ControlConfig
+    keys: Mapping[str, object]
 
-    def solver_config(self) -> SolverConfig:
-        tol = self.solver_tol
-        if tol is None:
-            tol = 1e-8 if self.exponents.is_quadratic else 1e-6
-        return SolverConfig(
-            tol_grad=tol,
-            max_iters=self.solver_max_iters,
-            armijo_c=self.solver_armijo,
-            backtrack=self.solver_backtrack,
-        )
+    def __getitem__(self, key: str) -> object:
+        return self.keys[key]
 
 
-def _parse_scalar(text: str):
-    text = text.strip()
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    if "/" in text:
-        num, _, den = text.partition("/")
+def _parse(key: str, value: object) -> object:
+    """Check one value against its key's row; file text parses by the key's type."""
+    kind, _, choices = _KEYS[key]
+    if isinstance(value, str) and kind is not str:
+        text = value.strip()
         try:
-            return float(num) / float(den)
-        except (ValueError, ZeroDivisionError):
-            pass
-    return text
+            if kind is bool:
+                value = {"true": True, "false": False}[text.lower()]
+            elif kind is int:
+                value = int(text)
+            else:
+                num, slash, den = text.partition("/")
+                value = float(num) / float(den) if slash else float(text)
+        except (KeyError, ValueError, ZeroDivisionError):
+            raise ConfigError(f"{key}: expected {kind.__name__}, got {text!r}") from None
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+        value = float(value)
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {value}")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{key}: must be one of {', '.join(choices)}, got {value!r}")
+    return value
 
 
-def _read_config_file(path: str) -> dict[str, object]:
+@contextmanager
+def _section(name: str):
+    """Re-raise a record's ValueError as a ConfigError naming its section."""
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(f"{name}: {err}") from err
+
+
+def _read_config_file(path: str) -> dict[str, str]:
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
-    values: dict[str, object] = {}
+    values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -167,187 +143,101 @@ def _read_config_file(path: str) -> dict[str, object]:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _KNOWN_KEYS:
+            if key not in _KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _parse_scalar(value)
+            values[key] = value.strip()
     return values
-
-
-def _require(kv: dict[str, object], key: str, kind: type, default=None):
-    if key not in kv:
-        if default is not None:
-            return default
-        raise ConfigError(f"{key}: required")
-    value = kv[key]
-    if kind is float and isinstance(value, (int, bool)) and not isinstance(value, bool):
-        value = float(value)
-    if kind is int and isinstance(value, bool):
-        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
-    if not isinstance(value, kind):
-        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
-    return value
-
-
-def _require_finite(key: str, value: float | None) -> None:
-    if value is not None and not math.isfinite(value):
-        raise ConfigError(f"{key}: must be finite, got {value}")
 
 
 def parse_config(
     path: str | None = None, overrides: dict[str, object] | None = None
 ) -> RunConfig:
     """Merge file values and overrides into a fully validated RunConfig."""
-    kv: dict[str, object] = {}
+    given: dict[str, object] = {}
     if path is not None:
-        kv.update(_read_config_file(path))
+        given.update(_read_config_file(path))
     for key, value in (overrides or {}).items():
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         if value is not None:
-            kv[key] = value
+            given[key] = value
+    for key in _REQUIRED:
+        if key not in given:
+            raise ConfigError(f"{key}: required")
+    given = {key: _parse(key, value) for key, value in given.items()}
+    if "exponents.p" in given and "exponents.mode" not in given:
+        given["exponents.mode"] = "relaxed"
+    keys = {key: given.get(key, default) for key, (_, default, _) in _KEYS.items()}
 
-    command = _require(kv, "command", str)
-    if command not in _COMMANDS:
-        raise ConfigError(f"command: must be one of {', '.join(_COMMANDS)}, got {command!r}")
+    for key, low in _AT_LEAST.items():
+        if keys[key] is not None and keys[key] < low:
+            raise ConfigError(f"{key}: must be >= {low}, got {keys[key]}")
+    for section in ("weight", "forcing"):
+        path_key = f"{section}.path"
+        if keys[f"{section}.kind"] == "csv":
+            if not keys[path_key]:
+                raise ConfigError(f"{path_key}: required when {section}.kind = csv")
+            if not os.path.isfile(keys[path_key]):
+                raise ConfigError(f"{path_key}: file not found: {keys[path_key]}")
 
-    n = _require(kv, "grid.n", int, default=1)
-    m = _require(kv, "grid.m", int, default=15)
-    try:
-        grid = Grid(n=n, m=m)
-    except ValueError as err:
-        raise ConfigError(f"grid: {err}") from err
-
-    q = float(_require(kv, "exponents.q", float))
-    mode = _require(kv, "exponents.mode", str, default="strict")
-    p_override = kv.get("exponents.p")
-    if p_override is not None:
-        p_override = float(p_override)
-        if "exponents.mode" not in kv:
-            mode = "relaxed"
-    epsilon = float(_require(kv, "exponents.epsilon", float, default=DEFAULT_EPS_REG))
-    try:
-        exponents = validate_exponents(q, grid.n, mode, p_override, eps_reg=epsilon)
-    except ValueError as err:
-        raise ConfigError(f"exponents: {err}") from err
-
-    weight = _WeightSpec(
-        kind=_require(kv, "weight.kind", str, default="constant"),
-        mu0=float(_require(kv, "weight.mu0", float, default=1.0)),
-        mu1=float(kv["weight.mu1"]) if "weight.mu1" in kv else None,
-        path=kv.get("weight.path"),
-    )
-    _require_finite("weight.mu0", weight.mu0)
-    _require_finite("weight.mu1", weight.mu1)
-    if weight.kind not in ("constant", "ramp", "csv"):
-        raise ConfigError(f"weight.kind: must be constant, ramp, or csv, got {weight.kind!r}")
-    if weight.kind == "csv":
-        if not weight.path:
-            raise ConfigError("weight.path: required when weight.kind = csv")
-        if not os.path.isfile(str(weight.path)):
-            raise ConfigError(f"weight.path: file not found: {weight.path}")
-
-    forcing = _ForcingSpec(
-        kind=_require(kv, "forcing.kind", str, default="constant"),
-        value=float(_require(kv, "forcing.value", float, default=1.0)),
-        preset=_require(kv, "forcing.preset", str, default="sine"),
-        path=kv.get("forcing.path"),
-    )
-    _require_finite("forcing.value", forcing.value)
-    if forcing.kind not in ("constant", "preset", "csv"):
-        raise ConfigError(
-            f"forcing.kind: must be constant, preset, or csv, got {forcing.kind!r}"
+    with _section("grid"):
+        grid = Grid(n=keys["grid.n"], m=keys["grid.m"])
+    with _section("exponents"):
+        exponents = validate_exponents(
+            keys["exponents.q"],
+            grid.n,
+            keys["exponents.mode"],
+            keys["exponents.p"],
+            eps_reg=keys["exponents.epsilon"],
         )
-    if forcing.kind == "preset" and forcing.preset not in _PRESETS:
-        raise ConfigError(
-            f"forcing.preset: must be one of {', '.join(_PRESETS)}, got {forcing.preset!r}"
+    with _section("solver"):
+        solver = SolverConfig(
+            tol_grad=keys["solver.tol"],
+            max_iters=keys["solver.max_iters"],
+            armijo_c=keys["solver.armijo"],
+            backtrack=keys["solver.backtrack"],
         )
-    if forcing.kind == "csv":
-        if not forcing.path:
-            raise ConfigError("forcing.path: required when forcing.kind = csv")
-        if not os.path.isfile(str(forcing.path)):
-            raise ConfigError(f"forcing.path: file not found: {forcing.path}")
-
-    control = _ControlSpec(
-        alpha=float(_require(kv, "control.alpha", float, default=1e-6)),
-        tol_reduced=float(_require(kv, "control.tol_reduced", float, default=1e-5)),
-        max_outer=_require(kv, "control.max_outer", int, default=10_000),
-        cg_tol=float(_require(kv, "control.cg_tol", float, default=1e-10)),
-        cg_max=_require(kv, "control.cg_max", int, default=0),
-    )
-    _require_finite("control.tol_reduced", control.tol_reduced)
-    _require_finite("control.cg_tol", control.cg_tol)
-    convexity = _ConvexitySpec(
-        trials=_require(kv, "convexity.trials", int, default=1000),
-        gamma=float(kv["convexity.gamma"]) if "convexity.gamma" in kv else None,
-    )
-
-    seed = _require(kv, "seed", int, default=0)
-    if seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {seed}")
-
-    config = RunConfig(
-        command=command,
-        grid=grid,
-        exponents=exponents,
-        weight=weight,
-        forcing=forcing,
-        solver_tol=float(kv["solver.tol"]) if "solver.tol" in kv else None,
-        solver_max_iters=_require(kv, "solver.max_iters", int, default=50_000),
-        solver_armijo=float(_require(kv, "solver.armijo", float, default=1e-4)),
-        solver_backtrack=float(_require(kv, "solver.backtrack", float, default=0.5)),
-        control=control,
-        convexity=convexity,
-        seed=seed,
-        out=str(_require(kv, "out", str, default="out")),
-        dump_energy_trace=bool(_require(kv, "dump_energy_trace", bool, default=False)),
-    )
-    _require_finite("solver.tol", config.solver_tol)
-    try:
-        config.solver_config()
-        ControlConfig(
-            inner=config.solver_config(),
-            tol_reduced=control.tol_reduced,
-            max_outer=control.max_outer,
-            cg_tol=control.cg_tol,
-            cg_max=control.cg_max,
-            alpha=control.alpha,
+    with _section("control"):
+        control = ControlConfig(
+            inner=solver,
+            tol_reduced=keys["control.tol_reduced"],
+            max_outer=keys["control.max_outer"],
+            cg_tol=keys["control.cg_tol"],
+            cg_max=keys["control.cg_max"],
+            alpha=keys["control.alpha"],
         )
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    if convexity.trials < 1:
-        raise ConfigError(f"convexity.trials: must be >= 1, got {convexity.trials}")
-    return config
+    return RunConfig(grid, exponents, solver, control, keys)
 
 
 def _build_weight(config: RunConfig) -> WeightField:
-    grid = config.grid
-    spec = config.weight
-    if spec.kind == "constant":
-        return WeightField.constant(grid, spec.mu0, spec.mu1)
-    if spec.kind == "ramp":
-        return WeightField.ramp(grid, spec.mu1 if spec.mu1 is not None else 1.0)
-    nodal = read_grid_function(str(spec.path), grid)
-    return WeightField.from_nodal(grid, nodal, spec.mu1)
+    grid, mu1 = config.grid, config["weight.mu1"]
+    with _section("weight"):
+        if config["weight.kind"] == "constant":
+            return WeightField.constant(grid, config["weight.mu0"], mu1)
+        if config["weight.kind"] == "ramp":
+            return WeightField.ramp(grid, mu1 if mu1 is not None else 1.0)
+        nodal = read_grid_function(config["weight.path"], grid)
+        return WeightField.from_nodal(grid, nodal, mu1)
 
 
 def _build_forcing(config: RunConfig) -> GridFunction:
     grid = config.grid
-    spec = config.forcing
-    if spec.kind == "constant":
-        return GridFunction.full(grid, spec.value)
-    if spec.kind == "preset":
-        if spec.preset == "sine":
+    with _section("forcing"):
+        if config["forcing.kind"] == "constant":
+            return GridFunction.full(grid, config["forcing.value"])
+        if config["forcing.kind"] == "preset":
+            if config["forcing.preset"] == "sine":
+                if grid.n == 1:
+                    return GridFunction.from_callable(grid, lambda x: np.sin(np.pi * x))
+                return GridFunction.from_callable(
+                    grid, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+                )
             if grid.n == 1:
-                return GridFunction.from_callable(grid, lambda x: np.sin(np.pi * x))
+                return GridFunction.from_callable(grid, lambda x: x * (1.0 - x))
             return GridFunction.from_callable(
-                grid, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+                grid, lambda x, y: x * (1.0 - x) * y * (1.0 - y)
             )
-        if grid.n == 1:
-            return GridFunction.from_callable(grid, lambda x: x * (1.0 - x))
-        return GridFunction.from_callable(
-            grid, lambda x, y: x * (1.0 - x) * y * (1.0 - y)
-        )
-    return read_grid_function(str(spec.path), grid)
+        return read_grid_function(config["forcing.path"], grid)
 
 
 def _write_record(path: str, fields: list[tuple[str, object]]) -> None:
@@ -376,7 +266,7 @@ def _probe_field(grid: Grid) -> GridFunction:
 def _cmd_exponents(config: RunConfig) -> int:
     e = config.exponents
     _write_record(
-        os.path.join(config.out, "exponents.txt"),
+        os.path.join(config["out"], "exponents.txt"),
         [
             ("command", "exponents"),
             ("n", e.n),
@@ -392,12 +282,11 @@ def _cmd_exponents(config: RunConfig) -> int:
 def _cmd_solve(config: RunConfig) -> int:
     mu = _build_weight(config)
     f = _build_forcing(config)
-    cfg = config.solver_config()
-    report = solve_inner(f, mu, config.exponents, cfg)
-    write_grid_function(report.u_star, os.path.join(config.out, "u.csv"))
+    report = solve_inner(f, mu, config.exponents, config.solver)
+    write_grid_function(report.u_star, os.path.join(config["out"], "u.csv"))
     breakdown = energy(report.u_star, f, mu, config.exponents)
     _write_record(
-        os.path.join(config.out, "report.txt"),
+        os.path.join(config["out"], "report.txt"),
         [
             ("command", "solve"),
             ("n", config.grid.n),
@@ -405,7 +294,7 @@ def _cmd_solve(config: RunConfig) -> int:
             ("p", config.exponents.p),
             ("q", config.exponents.q),
             ("epsilon", config.exponents.eps_reg),
-            ("seed", config.seed),
+            ("seed", config["seed"]),
             ("converged", report.converged),
             ("status", report.status),
             ("iterations", report.iterations),
@@ -415,8 +304,8 @@ def _cmd_solve(config: RunConfig) -> int:
             ("energy_total", breakdown.total),
         ],
     )
-    if config.dump_energy_trace:
-        trace_path = os.path.join(config.out, "energy_trace.csv")
+    if config["dump_energy_trace"]:
+        trace_path = os.path.join(config["out"], "energy_trace.csv")
         with open(trace_path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("iteration,energy\n")
             for i, value in enumerate(report.energy_trace):
@@ -433,7 +322,7 @@ def _cmd_compare_ops(config: RunConfig) -> int:
     l2_gap = quadrature(_sq(diff)) ** 0.5
     l2_ref = quadrature(_sq(a)) ** 0.5
     _write_record(
-        os.path.join(config.out, "gap.txt"),
+        os.path.join(config["out"], "gap.txt"),
         [
             ("command", "compare-ops"),
             ("n", config.grid.n),
@@ -457,19 +346,19 @@ def _cmd_convexity(config: RunConfig) -> int:
     e = config.exponents
     grid = config.grid
     f0 = GridFunction.zeros(grid)
-    gamma = config.convexity.gamma if config.convexity.gamma is not None else e.p
+    gamma = config["convexity.gamma"] if config["convexity.gamma"] is not None else e.p
 
     def functional(u: GridFunction) -> float:
         return energy(u, f0, mu, e).total
 
     sampler = SamplerConfig(
-        seed=config.seed,
-        trials=config.convexity.trials,
+        seed=config["seed"],
+        trials=config["convexity.trials"],
         space=grid_function_space(grid, e.p),
     )
     cert = estimate_modulus(functional, gamma, sampler)
     with open(
-        os.path.join(config.out, "certificate.txt"), "w", encoding="ascii", newline="\n"
+        os.path.join(config["out"], "certificate.txt"), "w", encoding="ascii", newline="\n"
     ) as fh:
         fh.write(certificate_record(cert))
     return 0
@@ -480,25 +369,16 @@ def _cmd_control(config: RunConfig) -> int:
     e = config.exponents
     grid = config.grid
     f_hat = _build_forcing(config)
-    inner = config.solver_config()
-    ctrl = ControlConfig(
-        inner=inner,
-        tol_reduced=config.control.tol_reduced,
-        max_outer=config.control.max_outer,
-        cg_tol=config.control.cg_tol,
-        cg_max=config.control.cg_max,
-        alpha=config.control.alpha,
-    )
-    u_d = solve_inner(f_hat, mu, e, inner)
+    u_d = solve_inner(f_hat, mu, e, config.solver)
     if not u_d.converged:
         print("error: forward solve for the tracking target did not converge", file=sys.stderr)
         return 2
     obj = tracking_objective(u_d.u_star, config.control.alpha)
-    report = optimize_control(obj, GridFunction.zeros(grid), mu, e, ctrl)
-    write_grid_function(report.f_star, os.path.join(config.out, "f_star.csv"))
-    write_grid_function(report.u_star, os.path.join(config.out, "u_star.csv"))
+    report = optimize_control(obj, GridFunction.zeros(grid), mu, e, config.control)
+    write_grid_function(report.f_star, os.path.join(config["out"], "f_star.csv"))
+    write_grid_function(report.u_star, os.path.join(config["out"], "u_star.csv"))
     _write_record(
-        os.path.join(config.out, "report.txt"),
+        os.path.join(config["out"], "report.txt"),
         [
             ("command", "control"),
             ("n", grid.n),
@@ -506,7 +386,7 @@ def _cmd_control(config: RunConfig) -> int:
             ("p", e.p),
             ("q", e.q),
             ("alpha", config.control.alpha),
-            ("seed", config.seed),
+            ("seed", config["seed"]),
             ("converged", report.converged),
             ("status", report.status),
             ("outer_iters", report.outer_iters),
@@ -519,16 +399,17 @@ def _cmd_control(config: RunConfig) -> int:
 
 def run(config: RunConfig) -> int:
     """Dispatch one validated config; returns the process exit status."""
-    os.makedirs(config.out, exist_ok=True)
+    command = config["command"]
+    os.makedirs(config["out"], exist_ok=True)
     started = time.perf_counter()
     try:
-        if config.command == "exponents":
+        if command == "exponents":
             status = _cmd_exponents(config)
-        elif config.command == "solve":
+        elif command == "solve":
             status = _cmd_solve(config)
-        elif config.command == "compare-ops":
+        elif command == "compare-ops":
             status = _cmd_compare_ops(config)
-        elif config.command == "convexity":
+        elif command == "convexity":
             status = _cmd_convexity(config)
         else:
             status = _cmd_control(config)
@@ -539,7 +420,7 @@ def run(config: RunConfig) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     # Wall time goes to stdout only; artifacts stay byte-stable across reruns.
-    print(f"{config.command}: exit {status}, wall_time_s = {time.perf_counter() - started:.3f}")
+    print(f"{command}: exit {status}, wall_time_s = {time.perf_counter() - started:.3f}")
     return status
 
 

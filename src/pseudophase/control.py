@@ -140,6 +140,8 @@ class ControlConfig:
             raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
         if not (self.cg_tol > 0.0 and math.isfinite(self.cg_tol)):
             raise ValueError(f"cg_tol must be finite and positive, got {self.cg_tol}")
+        if self.cg_max < 0:
+            raise ValueError(f"cg_max must be >= 0, got {self.cg_max}")
         if not self.cg_tol < self.tol_reduced:
             raise ValueError(
                 f"cg_tol must be below tol_reduced, got {self.cg_tol} >= {self.tol_reduced}"
@@ -167,19 +169,22 @@ class ControlReport:
 
 
 class SolutionOperator:
-    """psi(f) with a per-run cache keyed on the forcing's exact bytes."""
+    """psi(f) that replays its last solve when asked for the same forcing bytes.
+
+    One slot is all the outer loop reuses: it only ever asks again for the
+    trial it has just accepted.
+    """
 
     def __init__(self, mu: WeightField, e: Exponents, inner: SolverConfig):
         self.mu = mu
         self.exponents = e
         self.inner = inner
-        self._cache: dict[bytes, SolveReport] = {}
+        self._last: tuple[bytes, SolveReport] | None = None
 
     def report(self, f: GridFunction, warm: GridFunction | None = None) -> SolveReport:
         key = f.values.tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
         cfg = self.inner if warm is None else replace(self.inner, init=warm)
         rep = solve_inner(f, self.mu, self.exponents, cfg)
         if not rep.converged:
@@ -187,7 +192,7 @@ class SolutionOperator:
                 f"inner solve did not converge (status {rep.status!r}, "
                 f"grad norm {rep.final_grad_norm:.3e})"
             )
-        self._cache[key] = rep
+        self._last = (key, rep)
         return rep
 
     def __call__(self, f: GridFunction, warm: GridFunction | None = None) -> GridFunction:

@@ -1,7 +1,16 @@
 """Config parsing, dispatch, exit codes, and artifact stability."""
 
+import contextlib
+import io
+import math
+import os
+import re
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudophase import (
     ConfigError,
@@ -12,7 +21,7 @@ from pseudophase import (
     energy,
     read_grid_function,
 )
-from pseudophase.cli import RunConfig, main, parse_config
+from pseudophase.cli import _KEYS, _REQUIRED, _parse, main, parse_config
 
 
 def _write(tmp_path, name, text):
@@ -50,28 +59,22 @@ def test_parse_minimal_strict_config(tmp_path):
         "command = solve\ngrid.n = 2\ngrid.m = 63\nexponents.q = 4/3\n",
     )
     cfg = parse_config(path)
-    assert cfg.command == "solve"
+    assert cfg["command"] == "solve"
     assert cfg.grid == Grid(2, 63)
     assert cfg.exponents.p == 4.0
     assert cfg.exponents.strict_sobolev
-    assert cfg.solver_config().tol_grad == 1e-6
+    assert cfg.solver.tol_grad == 1e-6
 
 
 def test_defaults_fill_unset_keys(tmp_path):
     path = _write(tmp_path, "run.cfg", "command = solve\ngrid.n = 2\nexponents.q = 4/3\n")
     cfg = parse_config(path)
     assert cfg.grid.m == 15
-    assert cfg.seed == 0
-    assert cfg.out == "out"
-    assert cfg.solver_max_iters == 50_000
-    assert not cfg.dump_energy_trace
-
-
-def test_quadratic_default_tolerance_is_tighter():
-    cfg = RunConfig(
-        command="solve", grid=Grid(1, 5), exponents=Exponents(2.0, 2.0, 1, 0.0)
-    )
-    assert cfg.solver_config().tol_grad == 1e-8
+    assert cfg["seed"] == 0
+    assert cfg["out"] == "out"
+    assert cfg.solver.max_iters == 50_000
+    assert not cfg["dump_energy_trace"]
+    assert cfg.control.inner is cfg.solver
 
 
 def test_flag_overrides_beat_file_values(tmp_path):
@@ -82,7 +85,7 @@ def test_flag_overrides_beat_file_values(tmp_path):
     )
     cfg = parse_config(path, {"grid.m": 31, "seed": 7})
     assert cfg.grid.m == 31
-    assert cfg.seed == 7
+    assert cfg["seed"] == 7
 
 
 def test_unknown_key_is_an_error(tmp_path):
@@ -105,7 +108,7 @@ def test_comments_and_blank_lines_ignored(tmp_path):
         "run.cfg",
         "# header\ncommand = exponents\n\ngrid.n = 2  # inline\nexponents.q = 4/3\n",
     )
-    assert parse_config(path).command == "exponents"
+    assert parse_config(path)["command"] == "exponents"
 
 
 def test_strict_mode_conflict_cites_the_coupling(tmp_path):
@@ -171,15 +174,16 @@ def test_missing_command_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize(
     "source, message",
     [
-        ("--epsilon", "exponents: eps_reg must be finite"),
-        ("--p", "exponents: p must be finite"),
+        ("--epsilon", "exponents.epsilon: must be finite"),
+        ("--p", "exponents.p: must be finite"),
         ("forcing.value", "forcing.value: must be finite"),
-        ("--strict-sobolev --p", "exponents: p must be finite"),
+        ("--strict-sobolev --p", "exponents.p: must be finite"),
         ("--tol", "solver.tol: must be finite"),
         ("control.tol_reduced", "control.tol_reduced: must be finite"),
         ("control.cg_tol", "control.cg_tol: must be finite"),
         ("--mu-const", "weight.mu0: must be finite"),
         ("weight.mu1", "weight.mu1: must be finite"),
+        ("convexity.gamma", "convexity.gamma: must be finite"),
     ],
 )
 def test_non_finite_input_exits_one_naming_its_key(tmp_path, capsys, source, message, value):
@@ -194,6 +198,55 @@ def test_non_finite_input_exits_one_naming_its_key(tmp_path, capsys, source, mes
     assert main(args) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        # "true" used to become tol 1.0 and a vacuous converged = true.
+        ("solver.tol", "true"),
+        ("solver.tol", "abc"),
+        ("exponents.p", "abc"),
+        ("weight.mu1", "abc"),
+        ("convexity.gamma", "abc"),
+        ("exponents.q", "1/0"),
+        ("grid.m", "2.5"),
+        ("seed", "true"),
+        ("dump_energy_trace", "1"),
+    ],
+)
+def test_malformed_value_exits_one_naming_its_key(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "run.cfg", f"exponents.q = 4/3\ngrid.n = 2\n{key} = {value}\n")
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {key}: expected {_KEYS[key][0].__name__}, got {value!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, lines, message",
+    [
+        ("convexity", "convexity.gamma = 0.5", "error: convexity.gamma: must be >= 1"),
+        ("control", "control.cg_max = -5", "error: control: cg_max must be >= 0"),
+        ("solve", "solver.armijo = 2", "error: solver: armijo_c must lie in (0,1)"),
+        ("solve", "forcing.preset = saw", "error: forcing.preset: must be one of sine, bump"),
+        (
+            "solve",
+            "weight.kind = ramp\nweight.mu1 = 0",
+            "error: weight: mu_max must be positive",
+        ),
+        (
+            "solve",
+            "weight.mu0 = 2\nweight.mu1 = 1",
+            "error: weight: weight values exceed the declared bound",
+        ),
+    ],
+)
+def test_range_error_exits_one_naming_its_key_or_section(tmp_path, capsys, command, lines, message):
+    cfg = _write(tmp_path, "run.cfg", f"exponents.q = 4/3\ngrid.n = 2\ngrid.m = 5\n{lines}\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_exponents_command_writes_record(tmp_path):
@@ -427,3 +480,126 @@ def test_nested_out_directory_is_created(tmp_path):
     code = main(["exponents", "--n", "2", "--q", str(4.0 / 3.0), "--strict-sobolev", "--out", out])
     assert code == 0
     assert (tmp_path / "deep" / "er" / "out" / "exponents.txt").is_file()
+
+
+def _readme_key_table():
+    """The README's config-key table as {key: (type, default, values)}, plus its required keys."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    text = open(readme, encoding="utf-8").read()
+    section = text.split("### Config keys", 1)[1].split("\n\n|", 1)[1]
+    rows = [line for line in ("|" + section).splitlines() if line.startswith("| `")]
+    kinds = {"int": int, "float": float, "bool": bool, "str": str}
+    table, required = {}, []
+    for row in rows:
+        key, kind, default, values = (cell.strip().strip("`") for cell in row.strip("|").split("|"))
+        if default == "required":
+            required.append(key)
+        choices = tuple(v.strip().strip("`") for v in values.split(",")) if values else None
+        parsed = None if default in ("required", "unset") else _parse(key, default)
+        table[key] = (kinds[kind], parsed, choices)
+    return table, required
+
+
+def test_readme_key_table_matches_the_parser():
+    table, required = _readme_key_table()
+    assert list(table) == list(_KEYS)
+    assert table == _KEYS
+    assert [type(table[k][1]) for k in table] == [type(v[1]) for v in _KEYS.values()]
+    assert tuple(required) == _REQUIRED
+
+
+_COMMANDS = _KEYS["command"][2]
+
+#: A fast valid start for every command; m = 5 and small budgets.
+_BASE = {
+    "grid.n": "2",
+    "grid.m": "5",
+    "exponents.q": "4/3",
+    "exponents.epsilon": "1e-4",
+    "forcing.kind": "preset",
+    "solver.max_iters": "30",
+    "control.max_outer": "2",
+    "convexity.trials": "5",
+}
+
+#: Other values each key accepts on its own; together they may still clash.
+_OTHER = {
+    "seed": ["0", "7"],
+    "dump_energy_trace": ["true", "false"],
+    "grid.n": ["1", "2"],
+    "grid.m": ["3", "4"],
+    "exponents.q": ["1.5", "2"],
+    "exponents.p": ["3", "4"],
+    "exponents.mode": ["strict", "relaxed"],
+    "exponents.epsilon": ["0", "1e-2"],
+    "weight.kind": ["constant", "ramp", "csv"],
+    "weight.mu0": ["0", "0.5", "2"],
+    "weight.mu1": ["1", "3"],
+    "forcing.kind": ["constant", "preset", "csv"],
+    "forcing.value": ["0", "-2"],
+    "forcing.preset": ["sine", "bump"],
+    "solver.tol": ["1e-8", "1e-3"],
+    "solver.max_iters": ["1", "20"],
+    "solver.armijo": ["0.3"],
+    "solver.backtrack": ["0.1", "0.9"],
+    "control.alpha": ["0", "1e-3"],
+    "control.tol_reduced": ["1e-3"],
+    "control.max_outer": ["1"],
+    "control.cg_tol": ["1e-8"],
+    "control.cg_max": ["0", "5"],
+    "convexity.trials": ["1"],
+    "convexity.gamma": ["1", "4"],
+}
+
+_MALFORMED = ["nan", "inf", "-inf", "abc", "true", "1/0", "-1", "0", "2.5"]
+
+_SECTIONS = ("grid", "exponents", "solver", "control", "weight", "forcing")
+
+
+@st.composite
+def _run_configs(draw):
+    values = dict(_BASE, command=draw(st.sampled_from(_COMMANDS)))
+    for key in draw(st.lists(st.sampled_from(sorted(_OTHER)), max_size=3, unique=True)):
+        values[key] = draw(st.sampled_from(_OTHER[key]))
+    bad = draw(st.none() | st.sampled_from(sorted(_KEYS)))
+    if bad is not None:
+        values[bad] = draw(st.sampled_from(_MALFORMED))
+    return values
+
+
+def _non_finite_numbers(folder):
+    found = []
+    for name in sorted(os.listdir(folder)):
+        for token in re.split(r"[\s,=]+", open(os.path.join(folder, name), encoding="ascii").read()):
+            try:
+                number = float(token)
+            except ValueError:
+                continue
+            if not math.isfinite(number):
+                found.append(f"{name}: {token}")
+    return found
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=_run_configs())
+def test_every_config_exits_one_naming_a_key_or_writes_finite_numbers(values):
+    # Every run ends one of two ways: exit 1 with a message that names a
+    # config key or a section, or exit 0 / 2 with only finite numbers.
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{key} = {value}\n" for key, value in values.items())
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            status = main(["--config", cfg, "--out", out])
+        message = err.getvalue()
+        assert "Traceback" not in message
+        if status == 1:
+            name = re.match(r"error: ([\w.]+): ", message)
+            assert name is not None, message
+            assert name.group(1) in _KEYS or name.group(1) in _SECTIONS, message
+        else:
+            assert status in (0, 2), message
+            if os.path.isdir(out):
+                assert _non_finite_numbers(out) == []

@@ -96,6 +96,27 @@ def test_solution_operator_cache_replays_the_same_report():
     assert np.array_equal(fresh.u_star.values, first.u_star.values)
 
 
+def test_solution_operator_keeps_only_the_last_solve(monkeypatch):
+    real = control.solve_inner
+    calls = []
+
+    def counting(f, *args):
+        calls.append(f)
+        return real(f, *args)
+
+    monkeypatch.setattr(control, "solve_inner", counting)
+    g = Grid(1, 9)
+    op = SolutionOperator(WeightField.constant(g, 1.0), QUAD, SolverConfig(tol_grad=1e-9))
+    f1 = GridFunction(g, np.linspace(-1.0, 1.0, 9))
+    f2 = GridFunction(g, np.linspace(1.0, -1.0, 9))
+    reports = [op.report(f) for f in (f1, f2, f2, f1)]
+    # f2 again replays the last solve; f1 again was evicted by f2.
+    assert len(calls) == 3
+    assert reports[2] is reports[1]
+    assert reports[3] is not reports[0]
+    assert np.array_equal(reports[3].u_star.values, reports[0].u_star.values)
+
+
 def test_unconverged_inner_solve_raises_instead_of_returning():
     g = Grid(1, 31)
     mu = WeightField.constant(g, 1.0)
@@ -281,3 +302,6 @@ def test_control_config_validation():
         ControlConfig(inner=inner, alpha=-1.0)
     with pytest.raises(ValueError, match="max_outer"):
         ControlConfig(inner=inner, max_outer=0)
+    with pytest.raises(ValueError, match="cg_max must be >= 0"):
+        ControlConfig(inner=inner, cg_max=-5)
+    assert ControlConfig(inner=inner, cg_max=0).cg_max == 0
