@@ -30,6 +30,7 @@ from .energy import (
     WeightField,
     apply_divergence_operator,
     apply_pseudo_operator,
+    _energy_terms,
     energy,
     validate_exponents,
 )
@@ -240,6 +241,12 @@ def _build_forcing(config: RunConfig) -> GridFunction:
         return read_grid_function(config["forcing.path"], grid)
 
 
+def _artifact(config: RunConfig, name: str) -> str:
+    """Path of one artifact; the output directory is made when the first is written."""
+    os.makedirs(config["out"], exist_ok=True)
+    return os.path.join(config["out"], name)
+
+
 def _write_record(path: str, fields: list[tuple[str, object]]) -> None:
     lines = []
     for key, value in fields:
@@ -266,7 +273,7 @@ def _probe_field(grid: Grid) -> GridFunction:
 def _cmd_exponents(config: RunConfig) -> int:
     e = config.exponents
     _write_record(
-        os.path.join(config["out"], "exponents.txt"),
+        _artifact(config, "exponents.txt"),
         [
             ("command", "exponents"),
             ("n", e.n),
@@ -283,10 +290,10 @@ def _cmd_solve(config: RunConfig) -> int:
     mu = _build_weight(config)
     f = _build_forcing(config)
     report = solve_inner(f, mu, config.exponents, config.solver)
-    write_grid_function(report.u_star, os.path.join(config["out"], "u.csv"))
+    write_grid_function(report.u_star, _artifact(config, "u.csv"))
     breakdown = energy(report.u_star, f, mu, config.exponents)
     _write_record(
-        os.path.join(config["out"], "report.txt"),
+        _artifact(config, "report.txt"),
         [
             ("command", "solve"),
             ("n", config.grid.n),
@@ -305,7 +312,7 @@ def _cmd_solve(config: RunConfig) -> int:
         ],
     )
     if config["dump_energy_trace"]:
-        trace_path = os.path.join(config["out"], "energy_trace.csv")
+        trace_path = _artifact(config, "energy_trace.csv")
         with open(trace_path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("iteration,energy\n")
             for i, value in enumerate(report.energy_trace):
@@ -322,7 +329,7 @@ def _cmd_compare_ops(config: RunConfig) -> int:
     l2_gap = quadrature(_sq(diff)) ** 0.5
     l2_ref = quadrature(_sq(a)) ** 0.5
     _write_record(
-        os.path.join(config["out"], "gap.txt"),
+        _artifact(config, "gap.txt"),
         [
             ("command", "compare-ops"),
             ("n", config.grid.n),
@@ -348,18 +355,18 @@ def _cmd_convexity(config: RunConfig) -> int:
     f0 = GridFunction.zeros(grid)
     gamma = config["convexity.gamma"] if config["convexity.gamma"] is not None else e.p
 
-    def functional(u: GridFunction) -> float:
-        return energy(u, f0, mu, e).total
+    def functional(points: np.ndarray) -> np.ndarray:
+        p_term, q_term, load = _energy_terms(points, f0, mu, e)
+        return p_term + q_term - load
 
     sampler = SamplerConfig(
         seed=config["seed"],
         trials=config["convexity.trials"],
         space=grid_function_space(grid, e.p),
     )
-    cert = estimate_modulus(functional, gamma, sampler)
-    with open(
-        os.path.join(config["out"], "certificate.txt"), "w", encoding="ascii", newline="\n"
-    ) as fh:
+    with _section("convexity"):
+        cert = estimate_modulus(functional, gamma, sampler)
+    with open(_artifact(config, "certificate.txt"), "w", encoding="ascii", newline="\n") as fh:
         fh.write(certificate_record(cert))
     return 0
 
@@ -375,10 +382,10 @@ def _cmd_control(config: RunConfig) -> int:
         return 2
     obj = tracking_objective(u_d.u_star, config.control.alpha)
     report = optimize_control(obj, GridFunction.zeros(grid), mu, e, config.control)
-    write_grid_function(report.f_star, os.path.join(config["out"], "f_star.csv"))
-    write_grid_function(report.u_star, os.path.join(config["out"], "u_star.csv"))
+    write_grid_function(report.f_star, _artifact(config, "f_star.csv"))
+    write_grid_function(report.u_star, _artifact(config, "u_star.csv"))
     _write_record(
-        os.path.join(config["out"], "report.txt"),
+        _artifact(config, "report.txt"),
         [
             ("command", "control"),
             ("n", grid.n),
@@ -400,7 +407,6 @@ def _cmd_control(config: RunConfig) -> int:
 def run(config: RunConfig) -> int:
     """Dispatch one validated config; returns the process exit status."""
     command = config["command"]
-    os.makedirs(config["out"], exist_ok=True)
     started = time.perf_counter()
     try:
         if command == "exponents":

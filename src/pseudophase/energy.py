@@ -43,6 +43,7 @@ from .grid import (
     _diff,
     _diffs,
     _neg_div_sum,
+    _row_sums,
 )
 
 __all__ = [
@@ -97,6 +98,8 @@ class Exponents:
             )
         if self.eps_reg < 0.0:
             raise ValueError(f"eps_reg must be >= 0, got {self.eps_reg}")
+        if not math.isfinite(self.eps_reg * self.eps_reg):
+            raise ValueError(f"eps_reg**2 must be finite, got eps_reg={self.eps_reg}")
         if min(self.p, self.q) < 2.0 and self.eps_reg == 0.0:
             raise ValueError(
                 "eps_reg must be positive when min(p, q) < 2 "
@@ -318,16 +321,32 @@ def energy(
     """
     _check_problem(u, mu, e)
     _check_same_grid(u.grid, f)
-    cell = u.grid.h**u.grid.n
+    p_term, q_term, load = _energy_terms(u.values[None], f, mu, e)
+    return EnergyBreakdown(
+        p_term=float(p_term[0]), q_term=float(q_term[0]), load_term=float(load[0])
+    )
+
+
+def _energy_terms(
+    stack: np.ndarray, f: GridFunction, mu: WeightField, e: Exponents
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p_term, q_term and load_term of J for every nodal array in a stack.
+
+    The stack has a leading point axis; per point the arithmetic is the
+    single-field one, axis terms added from 0.0 up.
+    """
+    grid = mu.grid
+    cell = grid.h**grid.n
     eps2 = e.eps_reg**2
-    p_term = 0.0
-    q_term = 0.0
-    for axis, g in enumerate(_diffs(u.values, u.grid.h)):
+    p_term = np.zeros(len(stack))
+    q_term = np.zeros(len(stack))
+    for axis in range(grid.n):
+        g = _diff(stack, axis + 1, grid.h)
         s2 = g * g + eps2
-        p_term += float(np.sum(s2 ** (e.p / 2.0))) * cell / e.p
-        q_term += float(np.sum(mu.per_axis[axis] * s2 ** (e.q / 2.0))) * cell / e.q
-    load = float(np.sum(f.values * u.values)) * cell
-    return EnergyBreakdown(p_term=p_term, q_term=q_term, load_term=load)
+        p_term += _row_sums(s2 ** (e.p / 2.0)) * cell / e.p
+        q_term += _row_sums(mu.per_axis[axis] * s2 ** (e.q / 2.0)) * cell / e.q
+    load = _row_sums(f.values * stack) * cell
+    return p_term, q_term, load
 
 
 def _flux(g: np.ndarray, mu_axis: np.ndarray, e: Exponents) -> np.ndarray:

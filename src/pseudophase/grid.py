@@ -251,13 +251,27 @@ def sobolev_norm(u: GridFunction, p: float) -> float:
     p : float
         Exponent, must satisfy p >= 1.
     """
+    return float(_sobolev_norms(u.values[None], u.grid, p)[0])
+
+
+def _row_sums(stack: np.ndarray) -> np.ndarray:
+    """Sum of each stacked array, one contiguous row each, as ndarray.sum() adds it."""
+    return stack.reshape(len(stack), -1).sum(axis=1)
+
+
+def _sobolev_norms(stack: np.ndarray, grid: Grid, p: float) -> np.ndarray:
+    """sobolev_norm of every nodal array in a stack (leading point axis).
+
+    Per point the arithmetic is the single-field one: the axis sums are
+    added from 0.0 up and the root is taken in Python floats.
+    """
     if p < 1:
         raise ValueError(f"norm exponent must be >= 1, got {p}")
-    grid = u.grid
-    total = 0.0
-    for g in _diffs(u.values, grid.h):
-        total += float((np.abs(g) ** p).sum() * grid.h**grid.n)
-    return total ** (1.0 / p)
+    cell = grid.h**grid.n
+    totals = np.zeros(len(stack))
+    for axis in range(1, stack.ndim):
+        totals += _row_sums(np.abs(_diff(stack, axis, grid.h)) ** p) * cell
+    return np.array([t ** (1.0 / p) for t in totals.tolist()])
 
 
 # ---------------------------------------------------------------------------

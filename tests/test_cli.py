@@ -20,6 +20,7 @@ from pseudophase import (
     WeightField,
     energy,
     read_grid_function,
+    write_grid_function,
 )
 from pseudophase.cli import _KEYS, _REQUIRED, _parse, main, parse_config
 
@@ -249,6 +250,54 @@ def test_range_error_exits_one_naming_its_key_or_section(tmp_path, capsys, comma
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["--epsilon", "exponents.epsilon"])
+def test_overflowing_epsilon_exits_one(tmp_path, capsys, source):
+    # eps_reg**2 used to overflow in solve_inner with a traceback.
+    out = tmp_path / "out"
+    args = ["solve", "--n", "2", "--m", "5", "--q", str(4.0 / 3.0), "--out", str(out)]
+    if "." in source:
+        args += ["--config", _write(tmp_path, "run.cfg", f"{source} = 1e200\n")]
+    else:
+        args += [source, "1e200"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "error: exponents: eps_reg**2 must be finite" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_overflowing_convexity_basis_exits_one(tmp_path, capsys):
+    # norm(x - y) ** gamma used to end in an OverflowError traceback.
+    out = tmp_path / "out"
+    cfg = _write(
+        tmp_path,
+        "run.cfg",
+        "exponents.q = 4/3\ngrid.n = 2\ngrid.m = 5\n"
+        "convexity.trials = 20\nconvexity.gamma = 1e300\n",
+    )
+    assert main(["convexity", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: convexity: gamma = 1e+300: the penalty basis" in err
+    assert "Traceback" not in err
+    assert not (out / "certificate.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "compare-ops", "convexity", "control"])
+@pytest.mark.parametrize(
+    "lines", ["weight.mu0 = 2\nweight.mu1 = 1", "weight.kind = csv\nweight.path = {csv}"]
+)
+def test_input_error_leaves_no_output_directory(tmp_path, capsys, command, lines):
+    # Both errors surface while the inputs are built, after parse_config.
+    csv = tmp_path / "m3.csv"
+    write_grid_function(GridFunction.full(Grid(2, 3), 0.5), str(csv))
+    out = tmp_path / "out"
+    lines = lines.format(csv=csv)
+    cfg = _write(tmp_path, "run.cfg", f"exponents.q = 4/3\ngrid.n = 2\ngrid.m = 5\n{lines}\n")
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert "error: weight: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exponents_command_writes_record(tmp_path):
     out = str(tmp_path / "out")
     code = main(
@@ -387,6 +436,31 @@ def test_convexity_certificate_is_deterministic(tmp_path):
     assert float(rec["c_estimate"]) > 0.0
     assert rec["failures"] == "0"
     assert rec["N"] == "200"
+
+
+#: certificate.txt of the configuration below, recorded with the per-trial
+#: lab that preceded chunked sampling.
+GOLDEN_CERTIFICATE = """\
+seed = 20261018
+N = 64
+gamma = 4
+c_estimate = 0.091128425980263911
+failures = 0
+worst_defect = 3.7153613519080864e-11
+"""
+
+
+def test_convexity_certificate_matches_the_recorded_bytes(tmp_path):
+    cfg = _write(
+        tmp_path,
+        "run.cfg",
+        "command = convexity\ngrid.n = 2\ngrid.m = 7\n"
+        "exponents.q = 4/3\nexponents.mode = strict\nweight.kind = ramp\n"
+        "convexity.trials = 64\nseed = 20261018\n",
+    )
+    out = tmp_path / "out"
+    assert main(["convexity", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "certificate.txt").read_bytes() == GOLDEN_CERTIFICATE.encode("ascii")
 
 
 def test_control_command_round_trip(tmp_path):

@@ -1,10 +1,11 @@
 """Hyperconvexity trial and certificate tests."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudophase import (
@@ -17,15 +18,28 @@ from pseudophase import (
     check_sum_lemma,
     energy,
     estimate_modulus,
+    forward_diff,
     grid_function_space,
     real_line_space,
     run_trial,
     sobolev_norm,
 )
+import pseudophase.convexity as lab
+from pseudophase.energy import _energy_terms
 
 
 def square(x):
     return x * x
+
+
+def stacked_energy(f, mu, e):
+    """J on a stack of nodal arrays, one total per point."""
+
+    def J(points):
+        p_term, q_term, load = _energy_terms(points, f, mu, e)
+        return p_term + q_term - load
+
+    return J
 
 
 def test_run_trial_boundary_case_passes_exactly():
@@ -74,19 +88,12 @@ def test_run_trial_rejects_sublinear_gamma():
 
 def test_run_trial_needs_explicit_norm_for_vectors():
     g = Grid(1, 3)
-    u = GridFunction.zeros(g)
-    v = GridFunction(g, np.ones(3))
+    norm = grid_function_space(g, 2.0).norm
+    u = np.zeros(3)
+    v = np.ones(3)
     with pytest.raises(TypeError, match="norm"):
-        run_trial(lambda w: sobolev_norm(w, 2.0) ** 2, u, v, 0.5, 2.0, 0.1)
-    t = run_trial(
-        lambda w: sobolev_norm(w, 2.0) ** 2,
-        u,
-        v,
-        0.5,
-        2.0,
-        0.1,
-        norm=lambda w: sobolev_norm(w, 2.0),
-    )
+        run_trial(lambda w: norm(w) ** 2, u, v, 0.5, 2.0, 0.1)
+    t = run_trial(lambda w: norm(w) ** 2, u, v, 0.5, 2.0, 0.1, norm=norm)
     assert t.passed
 
 
@@ -163,11 +170,14 @@ def test_real_line_space_scale_validation():
 def test_grid_function_space_respects_norm_band():
     g = Grid(1, 5)
     space = grid_function_space(g, 4.0)
-    rng = np.random.default_rng(9)
-    for _ in range(25):
-        u = space.sample(rng)
-        r = space.norm(u)
-        assert 0.1 * (1.0 - 1e-9) <= r <= 10.0 * (1.0 + 1e-9)
+    points = space.sample([np.random.default_rng([9, k]) for k in range(25)])
+    assert points.shape == (25, 5)
+    norms = space.norm(points)
+    assert norms.shape == (25,)
+    assert np.all(0.1 * (1.0 - 1e-9) <= norms)
+    assert np.all(norms <= 10.0 * (1.0 + 1e-9))
+    for point, r in zip(points, norms):
+        assert sobolev_norm(GridFunction(g, point), 4.0) == r
     with pytest.raises(ValueError):
         grid_function_space(g, 4.0, norm_low=1.0, norm_high=0.5)
 
@@ -176,11 +186,7 @@ def test_energy_modulus_on_grid_functions():
     g = Grid(1, 5)
     e = Exponents(4.0, 4.0 / 3.0, 1, 1e-6)
     mu = WeightField.constant(g, 1.0)
-    f = GridFunction.zeros(g)
-
-    def J(u):
-        return energy(u, f, mu, e).total
-
+    J = stacked_energy(GridFunction.zeros(g), mu, e)
     cfg = SamplerConfig(seed=0, trials=1000, space=grid_function_space(g, 4.0))
     cert = estimate_modulus(J, 4.0, cfg)
     assert cert.failures == 0
@@ -193,11 +199,13 @@ def test_sum_lemma_certifies_the_p_exponent():
     space = grid_function_space(g, 4.0)
     cfg = SamplerConfig(seed=0, trials=1000, space=space)
 
+    norm_q = grid_function_space(g, 4.0 / 3.0).norm
+
     def H(u):
-        return sobolev_norm(u, 4.0) ** 4 / 4.0
+        return space.norm(u) ** 4 / 4.0
 
     def G(u):
-        return sobolev_norm(u, 4.0 / 3.0) ** (4.0 / 3.0) / (4.0 / 3.0)
+        return norm_q(u) ** (4.0 / 3.0) / (4.0 / 3.0)
 
     h_cert = estimate_modulus(H, 4.0, cfg)
     g_cert = estimate_modulus(G, 4.0 / 3.0, cfg)
@@ -238,3 +246,203 @@ def test_certificate_record_round_trips_fields():
     assert float(fields["c_estimate"]) == cert.c_estimate
     assert int(fields["failures"]) == cert.failures
     assert math.isclose(float(fields["worst_defect"]), cert.worst_defect, rel_tol=0.0)
+
+
+def test_overflowing_basis_raises_naming_gamma():
+    cfg = SamplerConfig(seed=0, trials=20, space=grid_function_space(Grid(1, 5), 4.0))
+    norm = cfg.space.norm
+    with pytest.raises(ValueError, match="gamma = 1e\\+300.*penalty basis"):
+        estimate_modulus(lambda u: norm(u) ** 4, 1e300, cfg)
+
+
+def test_non_finite_functional_raises_naming_gamma():
+    cfg = SamplerConfig(seed=0, trials=20, space=real_line_space())
+    with pytest.raises(ValueError, match="gamma = 2.*functional is not finite"):
+        estimate_modulus(lambda v: np.where(v > 1.0, np.nan, v * v), 2.0, cfg)
+    good = estimate_modulus(square, 2.0, cfg)
+    quartic = estimate_modulus(lambda v: v**4 + v * v, 1.5, cfg)
+    assert good.passed and quartic.passed
+    with pytest.raises(ValueError, match="gamma = 2.*functional is not finite"):
+        check_sum_lemma(good, quartic, lambda v: np.where(v > 1.0, np.inf, v * v), cfg)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the one-trial-at-a-time lab on GridFunction points, as it stood
+# before trials were drawn and evaluated in chunks.  The chunked lab must
+# reproduce its gaps, bases and scales bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_norm(u, p):
+    grid = u.grid
+    total = 0.0
+    for axis in range(grid.n):
+        g = forward_diff(u, axis).values
+        total += float((np.abs(g) ** p).sum() * grid.h**grid.n)
+    return total ** (1.0 / p)
+
+
+def reference_energy(u, f, mu, e):
+    grid = u.grid
+    cell = grid.h**grid.n
+    eps2 = e.eps_reg**2
+    p_term = 0.0
+    q_term = 0.0
+    for axis in range(grid.n):
+        g = forward_diff(u, axis).values
+        s2 = g * g + eps2
+        p_term += float(np.sum(s2 ** (e.p / 2.0))) * cell / e.p
+        q_term += float(np.sum(mu.per_axis[axis] * s2 ** (e.q / 2.0))) * cell / e.q
+    load = float(np.sum(f.values * u.values)) * cell
+    return p_term + q_term - load
+
+
+def reference_grid_sample(grid, p, norm_low=0.1, norm_high=10.0):
+    def sample(rng):
+        values = rng.standard_normal(grid.shape)
+        u = GridFunction(grid, values)
+        base = reference_norm(u, p)
+        while base == 0.0:  # pragma: no cover - measure-zero draw
+            values = rng.standard_normal(grid.shape)
+            u = GridFunction(grid, values)
+            base = reference_norm(u, p)
+        target = float(np.exp(rng.uniform(np.log(norm_low), np.log(norm_high))))
+        return u * (target / base)
+
+    return sample
+
+
+def reference_parts(F, x, y, theta, gamma, norm):
+    fx = float(F(x))
+    fy = float(F(y))
+    fc = float(F(theta * x + (1.0 - theta) * y))
+    gap = theta * fx + (1.0 - theta) * fy - fc
+    basis = min(theta, 1.0 - theta) * norm(x - y) ** gamma
+    scale = abs(fx) + abs(fy) + abs(fc)
+    return gap, basis, scale
+
+
+def reference_triples(seed, trials, gamma, F, sample, norm):
+    gaps = np.empty(trials)
+    bases = np.empty(trials)
+    scales = np.empty(trials)
+    for i in range(trials):
+        rng = lab._trial_rng(seed, i)
+        theta = (
+            lab._THETA_PROBES[i]
+            if i < len(lab._THETA_PROBES)
+            else float(rng.uniform(1e-3, 1.0 - 1e-3))
+        )
+        x = sample(rng)
+        y = sample(rng)
+        attempts = 0
+        while norm(x - y) == 0.0:
+            y = sample(rng)
+            attempts += 1
+            if attempts > 100:
+                raise RuntimeError("sampler keeps producing coincident points")
+        gaps[i], bases[i], scales[i] = reference_parts(F, x, y, theta, gamma, norm)
+    return gaps, bases, scales
+
+
+def assert_matches_reference(cfg, gamma, F, reference):
+    triples = lab._sample_triples(cfg, gamma, F)
+    for got, want in zip(triples, reference):
+        assert got.tolist() == want.tolist()
+    with mock.patch.object(lab, "_sample_triples", lambda config, g, fn: reference):
+        want_cert = estimate_modulus(F, gamma, cfg)
+    assert estimate_modulus(F, gamma, cfg) == want_cert
+
+
+CHUNK_EDGES = st.sampled_from([lab._CHUNK - 1, lab._CHUNK, lab._CHUNK + 1, 2 * lab._CHUNK + 1])
+EXPONENTS = st.sampled_from([(4.0, 4.0 / 3.0), (3.0, 2.0), (2.5, 1.5)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**63),
+    trials=CHUNK_EDGES,
+    n=st.sampled_from([1, 2]),
+    m=st.integers(1, 6),
+    gamma=st.floats(1.0, 6.0),
+    exponents=EXPONENTS,
+    ramp=st.booleans(),
+)
+def test_chunked_lab_reproduces_the_per_trial_loop(seed, trials, n, m, gamma, exponents, ramp):
+    g = Grid(n, m)
+    p, q = exponents
+    e = Exponents(p, q, n, 1e-6)
+    mu = WeightField.ramp(g, 2.0) if ramp else WeightField.constant(g, 1.0)
+    f = GridFunction.zeros(g)
+    cfg = SamplerConfig(seed=seed, trials=trials, space=grid_function_space(g, p))
+    reference = reference_triples(
+        seed,
+        trials,
+        gamma,
+        lambda u: reference_energy(u, f, mu, e),
+        reference_grid_sample(g, p),
+        lambda u: reference_norm(u, p),
+    )
+    assert_matches_reference(cfg, gamma, stacked_energy(f, mu, e), reference)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**63), trials=CHUNK_EDGES, gamma=st.floats(1.0, 4.0))
+def test_chunked_lab_reproduces_the_per_trial_loop_on_the_line(seed, trials, gamma):
+    cfg = SamplerConfig(seed=seed, trials=trials, space=real_line_space(2.0))
+    reference = reference_triples(
+        seed, trials, gamma, square, lambda rng: float(rng.normal(0.0, 2.0)), abs
+    )
+    assert_matches_reference(cfg, gamma, square, reference)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**63), trials=CHUNK_EDGES)
+def test_chunked_lab_redraws_coincident_points_like_the_per_trial_loop(seed, trials):
+    # Points in {0, 1}: half the trials draw y == x and must redraw y
+    # from their own stream, in the per-trial loop's order.
+    space = lab.SampledSpace(
+        sample=lambda rngs: np.array([float(rng.integers(0, 2)) for rng in rngs]), norm=np.abs
+    )
+    cfg = SamplerConfig(seed=seed, trials=trials, space=space)
+    reference = reference_triples(
+        seed, trials, 2.0, square, lambda rng: float(rng.integers(0, 2)), abs
+    )
+    assert_matches_reference(cfg, 2.0, square, reference)
+
+
+def test_sampler_that_only_repeats_its_point_is_rejected():
+    space = lab.SampledSpace(sample=lambda rngs: np.zeros(len(rngs)), norm=np.abs)
+    with pytest.raises(RuntimeError, match="coincident"):
+        estimate_modulus(square, 2.0, SamplerConfig(seed=0, trials=3, space=space))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**63),
+    n=st.sampled_from([1, 2]),
+    m=st.integers(1, 9),
+    points=st.integers(1, 5),
+    exponents=EXPONENTS,
+    ramp=st.booleans(),
+)
+def test_stacked_kernels_reproduce_the_one_field_loops(seed, n, m, points, exponents, ramp):
+    g = Grid(n, m)
+    p, q = exponents
+    e = Exponents(p, q, n, 1e-6)
+    mu = WeightField.ramp(g, 2.0) if ramp else WeightField.constant(g, 1.0)
+    rng = np.random.default_rng(seed)
+    f = GridFunction(g, rng.standard_normal(g.shape))
+    stack = rng.standard_normal((points, *g.shape)) * 10.0 ** rng.uniform(-3, 3, points).reshape(
+        (-1,) + (1,) * n
+    )
+    fields = [GridFunction(g, u) for u in stack]
+    assert grid_function_space(g, p).norm(stack).tolist() == [
+        reference_norm(u, p) for u in fields
+    ]
+    assert stacked_energy(f, mu, e)(stack).tolist() == [
+        reference_energy(u, f, mu, e) for u in fields
+    ]
+    for u in fields:
+        assert sobolev_norm(u, p) == reference_norm(u, p)
+        assert energy(u, f, mu, e).total == reference_energy(u, f, mu, e)
