@@ -17,7 +17,6 @@ from .control import (
     gateaux_derivative,
     optimize_control,
     reduced_gradient,
-    solution_operator,
     tracking_objective,
 )
 from .convexity import (
@@ -103,7 +102,6 @@ __all__ = [
     "ControlReport",
     "SolutionOperator",
     "tracking_objective",
-    "solution_operator",
     "gateaux_derivative",
     "reduced_gradient",
     "optimize_control",

@@ -34,8 +34,8 @@ from .energy import (
     energy,
     validate_exponents,
 )
-from .errors import CGBreakdownError, ConfigError, InnerSolveError
-from .grid import Grid, GridFunction, quadrature, read_grid_function, write_grid_function
+from .errors import CGBreakdownError, ConfigError, InnerSolveError, SingularLinearizationError
+from .grid import Grid, GridFunction, inner_product, read_grid_function, write_grid_function
 from .solver import SolverConfig, solve_inner
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
@@ -323,29 +323,27 @@ def _cmd_solve(config: RunConfig) -> int:
 def _cmd_compare_ops(config: RunConfig) -> int:
     mu = _build_weight(config)
     u = _probe_field(config.grid)
-    a = apply_pseudo_operator(u, mu, config.exponents)
-    b = apply_divergence_operator(u, mu, config.exponents)
-    diff = a - b
-    l2_gap = quadrature(_sq(diff)) ** 0.5
-    l2_ref = quadrature(_sq(a)) ** 0.5
-    _write_record(
-        _artifact(config, "gap.txt"),
-        [
-            ("command", "compare-ops"),
-            ("n", config.grid.n),
-            ("m", config.grid.m),
-            ("p", config.exponents.p),
-            ("q", config.exponents.q),
-            ("l2_gap", l2_gap),
-            ("max_gap", float(np.max(np.abs(diff.values)))),
-            ("rel_l2_gap", l2_gap / l2_ref if l2_ref > 0.0 else 0.0),
-        ],
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = apply_pseudo_operator(u, mu, config.exponents)
+        b = apply_divergence_operator(u, mu, config.exponents)
+        diff = a - b
+        l2_gap = inner_product(diff, diff) ** 0.5
+        l2_ref = inner_product(a, a) ** 0.5
+    fields = [
+        ("command", "compare-ops"),
+        ("n", config.grid.n),
+        ("m", config.grid.m),
+        ("p", config.exponents.p),
+        ("q", config.exponents.q),
+        ("l2_gap", l2_gap),
+        ("max_gap", float(np.max(np.abs(diff.values)))),
+        ("rel_l2_gap", l2_gap / l2_ref if l2_ref > 0.0 else 0.0),
+    ]
+    for key, value in fields:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"compare-ops: {key} = {value}: the operator values overflow")
+    _write_record(_artifact(config, "gap.txt"), fields)
     return 0
-
-
-def _sq(u: GridFunction) -> GridFunction:
-    return GridFunction(u.grid, u.values**2)
 
 
 def _cmd_convexity(config: RunConfig) -> int:
@@ -422,7 +420,7 @@ def run(config: RunConfig) -> int:
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (InnerSolveError, CGBreakdownError) as err:
+    except (InnerSolveError, CGBreakdownError, SingularLinearizationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     # Wall time goes to stdout only; artifacts stay byte-stable across reruns.

@@ -29,9 +29,9 @@ from typing import Callable
 
 import numpy as np
 
-from .energy import Exponents, WeightField, hessian_apply
+from .energy import Exponents, WeightField, _check_nonsingular, _hessian_product, _linearization
 from .errors import CGBreakdownError, InnerSolveError
-from .grid import Grid, GridFunction, inner_product
+from .grid import Grid, GridFunction, _diffs, inner_product
 from .solver import SolveReport, SolverConfig, _backtrack, _cg, solve_inner
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "ControlReport",
     "SolutionOperator",
     "tracking_objective",
-    "solution_operator",
     "gateaux_derivative",
     "reduced_gradient",
     "optimize_control",
@@ -199,27 +198,18 @@ class SolutionOperator:
         return self.report(f, warm).u_star
 
 
-def solution_operator(
-    f: GridFunction,
-    mu: WeightField,
-    e: Exponents,
-    cfg: SolverConfig,
-    cache: SolutionOperator | None = None,
-) -> GridFunction:
-    """The state psi(f); converged or InnerSolveError, never a silent best-effort."""
-    psi = cache if cache is not None else SolutionOperator(mu, e, cfg)
-    return psi(f)
-
-
 def _hessian_solve(
     u: GridFunction, rhs: GridFunction, mu: WeightField, e: Exponents, cfg: ControlConfig
 ) -> GridFunction:
     """Solve H(u) w = rhs by CG; CGBreakdownError unless it converges."""
     grid = u.grid
     cg_max = cfg.cg_max if cfg.cg_max > 0 else 10 * grid.n_nodes
+    coeffs = _linearization(_diffs(u.values, grid.h), mu.per_axis, e)
 
     def apply_h(values: np.ndarray) -> np.ndarray:
-        return hessian_apply(u, GridFunction(grid, values), mu, e).values
+        # Checked per product: a zero rhs makes none and still returns zeros.
+        _check_nonsingular(coeffs, e)
+        return _hessian_product(coeffs, values, grid.h)
 
     solution, reason = _cg(apply_h, np.asarray(rhs.values), cfg.cg_tol, cg_max)
     if reason == "curvature":
@@ -243,7 +233,7 @@ def gateaux_derivative(
     cache: SolutionOperator | None = None,
 ) -> GridFunction:
     """Directional derivative of psi at f along h: solve H(psi(f)) w = h."""
-    u = solution_operator(f, mu, e, cfg.inner, cache)
+    u = (cache or SolutionOperator(mu, e, cfg.inner))(f)
     return _hessian_solve(u, h, mu, e, cfg)
 
 
@@ -256,7 +246,7 @@ def reduced_gradient(
     cache: SolutionOperator | None = None,
 ) -> GridFunction:
     """Adjoint gradient of f -> obj.evaluate(f, psi(f)): one hessian solve."""
-    u = solution_operator(f, mu, e, cfg.inner, cache)
+    u = (cache or SolutionOperator(mu, e, cfg.inner))(f)
     lam = _hessian_solve(u, obj.grad_u(f, u), mu, e, cfg)
     return obj.grad_f(f, u) + lam
 

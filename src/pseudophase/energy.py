@@ -277,8 +277,6 @@ class WeightField:
         worst = 0.0
         for arr in self.per_axis:
             for axis in range(arr.ndim):
-                if arr.shape[axis] < 2:
-                    continue
                 diffs = np.abs(np.diff(arr, axis=axis)) / h
                 worst = max(worst, float(diffs.max(initial=0.0)))
         return worst
@@ -462,10 +460,10 @@ def weak_residual(
 
 
 def _hessian_coeff(g: np.ndarray, mu_axis: np.ndarray, e: Exponents) -> np.ndarray:
-    """Edge coefficient of hessian_apply: the derivative of _flux in g.
+    """Edge coefficient of the linearization: the derivative of _flux in g.
 
     With eps_reg = 0 it vanishes on every edge where g = 0 and the active
-    powers exceed 2; callers decide whether that is an error.
+    powers exceed 2; _check_nonsingular decides whether that is an error.
     """
     g2 = g * g
     if e.eps_reg == 0.0:
@@ -477,6 +475,27 @@ def _hessian_coeff(g: np.ndarray, mu_axis: np.ndarray, e: Exponents) -> np.ndarr
     s2 = g2 + eps2
     coeff = s2 ** ((e.p - 4.0) / 2.0) * ((e.p - 1.0) * g2 + eps2)
     return coeff + mu_axis * s2 ** ((e.q - 4.0) / 2.0) * ((e.q - 1.0) * g2 + eps2)
+
+
+def _linearization(
+    diffs: list[np.ndarray], mu_axes: tuple[np.ndarray, ...], e: Exponents
+) -> list[np.ndarray]:
+    """Per-axis Hessian coefficients at a state, built once from its edge differences."""
+    return [_hessian_coeff(g, mu_axes[axis], e) for axis, g in enumerate(diffs)]
+
+
+def _check_nonsingular(coeffs: list[np.ndarray], e: Exponents) -> None:
+    """Raise SingularLinearizationError if a coefficient vanishes with eps_reg = 0."""
+    if e.eps_reg == 0.0 and any(np.any(c == 0.0) for c in coeffs):
+        raise SingularLinearizationError(
+            "zero linearization coefficient on an edge with eps_reg = 0; "
+            "re-run with a positive regularization width"
+        )
+
+
+def _hessian_product(coeffs: list[np.ndarray], w: np.ndarray, h: float) -> np.ndarray:
+    """sum_i neg_div_i(a_i * d_i w): the product of hessian_apply, Newton and the adjoint."""
+    return _neg_div_sum([c * _diff(w, axis, h) for axis, c in enumerate(coeffs)], h)
 
 
 def hessian_apply(
@@ -499,16 +518,9 @@ def hessian_apply(
     _check_problem(u, mu, e)
     _check_same_grid(u.grid, w)
     h = u.grid.h
-    coeffs = [
-        _hessian_coeff(g, mu.per_axis[axis], e) for axis, g in enumerate(_diffs(u.values, h))
-    ]
-    if e.eps_reg == 0.0 and any(np.any(c == 0.0) for c in coeffs):
-        raise SingularLinearizationError(
-            "zero linearization coefficient on an edge with eps_reg = 0; "
-            "re-run with a positive regularization width"
-        )
-    fluxes = [c * _diff(w.values, axis, h) for axis, c in enumerate(coeffs)]
-    return GridFunction(u.grid, _neg_div_sum(fluxes, h))
+    coeffs = _linearization(_diffs(u.values, h), mu.per_axis, e)
+    _check_nonsingular(coeffs, e)
+    return GridFunction(u.grid, _hessian_product(coeffs, w.values, h))
 
 
 def _raw_energy_decrease(

@@ -130,9 +130,6 @@ class GridFunction:
             return 0.0
         return float(self.values[tuple(k - 1 for k in index)])
 
-    def with_values(self, values: np.ndarray) -> GridFunction:
-        return GridFunction(self.grid, values)
-
     def __add__(self, other: GridFunction) -> GridFunction:
         self._check_compatible(other)
         return GridFunction(self.grid, self.values + other.values)

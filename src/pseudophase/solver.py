@@ -35,12 +35,13 @@ from .energy import (
     Exponents,
     WeightField,
     _flux,
-    _hessian_coeff,
+    _hessian_product,
+    _linearization,
     _pseudo_operator,
     _raw_energy_decrease,
     energy,
 )
-from .grid import GridFunction, _diff, _diffs, _neg_div_sum
+from .grid import GridFunction, _diffs
 
 __all__ = ["SolverConfig", "SolveReport", "solve_inner"]
 
@@ -236,13 +237,13 @@ def solve_inner(
         if prev_norm is not None:
             eta = _forcing_term(eta, g_norm, prev_norm, cfg.tol_grad)
         prev_norm = g_norm
-        coeffs = [_hessian_coeff(dg, mu_axes[axis], e) for axis, dg in enumerate(diffs)]
+        coeffs = _linearization(diffs, mu_axes, e)
         floor = _CURVATURE_FLOOR * gershgorin * max(float(np.max(c)) for c in coeffs)
 
         def apply_h(w: np.ndarray) -> np.ndarray:
             nonlocal matvecs
             matvecs += 1
-            return _neg_div_sum([c * _diff(w, axis, h) for axis, c in enumerate(coeffs)], h)
+            return _hessian_product(coeffs, w, h)
 
         d, _ = _cg(apply_h, g, eta, vals.size, floor)
         slope = float(np.sum(g * d))

@@ -70,8 +70,8 @@ def _fd_gradient(u, f, mu, e, t=1e-6):
     for idx in np.ndindex(grid.shape):
         bump = np.zeros(grid.shape)
         bump[idx] = 1.0
-        jp = energy(u.with_values(u.values + t * bump), f, mu, e).total
-        jm = energy(u.with_values(u.values - t * bump), f, mu, e).total
+        jp = energy(GridFunction(u.grid, u.values + t * bump), f, mu, e).total
+        jm = energy(GridFunction(u.grid, u.values - t * bump), f, mu, e).total
         out[idx] = (jp - jm) / (2.0 * t * cell)
     return out
 

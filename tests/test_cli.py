@@ -419,6 +419,18 @@ def test_compare_ops_gap_is_large_in_2d(tmp_path):
     assert rel == pytest.approx(0.392390, rel=1e-4)
 
 
+@pytest.mark.parametrize("mu", ["1e300", "1e308"])
+def test_compare_ops_overflow_exits_one_without_a_gap_file(tmp_path, capsys, mu):
+    # Used to exit 0 with l2_gap = inf and rel_l2_gap = nan in gap.txt.
+    out = tmp_path / "out"
+    args = ["compare-ops", "--n", "2", "--m", "5", "--q", str(4.0 / 3.0), "--strict-sobolev"]
+    assert main(args + ["--mu-const", mu, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: compare-ops: l2_gap = ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_convexity_certificate_is_deterministic(tmp_path):
     cfg = _write(
         tmp_path,
@@ -485,6 +497,26 @@ def test_control_command_round_trip(tmp_path):
     assert f_star.grid == Grid(1, 7)
     assert u_star.grid == Grid(1, 7)
     assert f_star.values.any()
+
+
+def test_singular_adjoint_linearization_exits_two(tmp_path, capsys):
+    # At u = psi(0) = 0 every coefficient on the zero-weight half of the
+    # ramp vanishes with epsilon = 0, so the first adjoint product fails.
+    cfg = _write(
+        tmp_path,
+        "run.cfg",
+        "grid.n = 2\ngrid.m = 6\nexponents.q = 2\nexponents.p = 3\n"
+        "exponents.epsilon = 0\nweight.kind = ramp\nweight.mu1 = 2\n"
+        "forcing.kind = preset\nforcing.preset = sine\n",
+    )
+    out = tmp_path / "out"
+    assert main(["control", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: zero linearization coefficient on an edge with eps_reg = 0; "
+        "re-run with a positive regularization width\n"
+    )
+    assert not out.exists()
 
 
 def test_csv_weight_and_forcing_inputs(tmp_path):

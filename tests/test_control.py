@@ -1,7 +1,12 @@
 """Solution operator, reduced gradient, and outer-loop control tests."""
 
+import importlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudophase import (
     CGBreakdownError,
@@ -12,17 +17,21 @@ from pseudophase import (
     InnerSolveError,
     Objective,
     SolutionOperator,
+    SingularLinearizationError,
     SolverConfig,
     WeightField,
     gateaux_derivative,
+    hessian_apply,
     optimize_control,
     reduced_gradient,
-    solution_operator,
     tracking_objective,
 )
 from pseudophase import control
 from pseudophase.control import _hessian_solve
 from pseudophase.solver import _cg
+
+# The package exports the function `energy`, which shadows its module.
+energy_module = importlib.import_module("pseudophase.energy")
 
 QUAD = Exponents(2.0, 2.0, 1, 0.0)
 TWO_PHASE = Exponents(4.0, 4.0 / 3.0, 1, 1e-4)
@@ -79,8 +88,8 @@ def test_solution_operator_is_linear_for_quadratic_exponents():
     f1 = GridFunction(g, rng.standard_normal(g.shape))
     f2 = GridFunction(g, rng.standard_normal(g.shape))
     cfg = SolverConfig(tol_grad=1e-11)
-    a = solution_operator(f1 + f2, mu, QUAD, cfg)
-    b = solution_operator(f1, mu, QUAD, cfg) + solution_operator(f2, mu, QUAD, cfg)
+    a = SolutionOperator(mu, QUAD, cfg)(f1 + f2)
+    b = SolutionOperator(mu, QUAD, cfg)(f1) + SolutionOperator(mu, QUAD, cfg)(f2)
     np.testing.assert_allclose(a.values, b.values, atol=1e-9)
 
 
@@ -122,7 +131,7 @@ def test_unconverged_inner_solve_raises_instead_of_returning():
     mu = WeightField.constant(g, 1.0)
     f = GridFunction.full(g, 2.0)
     with pytest.raises(InnerSolveError, match="did not converge"):
-        solution_operator(f, mu, QUAD, SolverConfig(tol_grad=1e-14, max_iters=2))
+        SolutionOperator(mu, QUAD, SolverConfig(tol_grad=1e-14, max_iters=2))(f)
 
 
 def test_gateaux_derivative_of_zero_direction_is_zero():
@@ -143,7 +152,7 @@ def test_gateaux_derivative_is_the_state_map_when_linear():
     h = GridFunction(g, rng.standard_normal(g.shape))
     cfg = _cfg(cg_tol=1e-12)
     w = gateaux_derivative(f, h, mu, QUAD, cfg)
-    psi_h = solution_operator(h, mu, QUAD, cfg.inner)
+    psi_h = SolutionOperator(mu, QUAD, cfg.inner)(h)
     np.testing.assert_allclose(w.values, psi_h.values, atol=1e-9)
 
 
@@ -156,8 +165,8 @@ def test_gateaux_derivative_matches_central_differences():
     cfg = _cfg(cg_tol=1e-12)
     w = gateaux_derivative(f, h, mu, TWO_PHASE, cfg)
     t = 1e-3
-    up = solution_operator(f + t * h, mu, TWO_PHASE, cfg.inner)
-    dn = solution_operator(f - t * h, mu, TWO_PHASE, cfg.inner)
+    up = SolutionOperator(mu, TWO_PHASE, cfg.inner)(f + t * h)
+    dn = SolutionOperator(mu, TWO_PHASE, cfg.inner)(f - t * h)
     fd = (up.values - dn.values) / (2.0 * t)
     rel = np.linalg.norm(fd - w.values) / np.linalg.norm(fd)
     assert rel <= 1e-3
@@ -173,8 +182,8 @@ def test_cg_guard_raises_on_negative_curvature(monkeypatch):
     g = Grid(1, 7)
     mu = WeightField.constant(g, 1.0)
     u = GridFunction(g, np.sin(np.pi * g.node_coords()[0]))
-    real = control.hessian_apply
-    monkeypatch.setattr(control, "hessian_apply", lambda u, w, mu, e: -real(u, w, mu, e))
+    real = control._hessian_product
+    monkeypatch.setattr(control, "_hessian_product", lambda c, w, h: -real(c, w, h))
     with pytest.raises(CGBreakdownError, match="curvature"):
         _hessian_solve(u, GridFunction.full(g, 1.0), mu, TWO_PHASE, _cfg())
 
@@ -191,6 +200,77 @@ def test_cg_raises_when_iterations_run_out():
     rhs = GridFunction(g, np.arange(1.0, 9.0))
     with pytest.raises(CGBreakdownError, match="did not reach"):
         _hessian_solve(u, rhs, mu, TWO_PHASE, _cfg(cg_tol=1e-14, cg_max=2))
+
+
+def _reference_hessian_solve(u, rhs, mu, e, cfg):
+    """The adjoint CG over public hessian_apply products: (solution, reason, products)."""
+    grid = u.grid
+    cg_max = cfg.cg_max if cfg.cg_max > 0 else 10 * grid.n_nodes
+    products = 0
+
+    def apply_h(values):
+        nonlocal products
+        products += 1
+        return hessian_apply(u, GridFunction(grid, values), mu, e).values
+
+    solution, reason = _cg(apply_h, np.asarray(rhs.values), cfg.cg_tol, cg_max)
+    return solution, reason, products
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    m=st.integers(2, 12),
+    pq=st.sampled_from([(2.0, 2.0), (3.0, 2.0), (4.0, 4.0 / 3.0), (3.0, 1.5)]),
+    eps_reg=st.sampled_from([1e-4, 1e-2, 1.0]),
+    weight=st.sampled_from(["constant", "ramp"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adjoint_solve_equals_the_hessian_apply_reference(n, m, pq, eps_reg, weight, seed):
+    g = Grid(n, m)
+    e = Exponents(pq[0], pq[1], n, eps_reg)
+    mu = WeightField.constant(g, 0.7) if weight == "constant" else WeightField.ramp(g, 2.0)
+    rng = np.random.default_rng(seed)
+    u = GridFunction(g, 0.3 * rng.standard_normal(g.shape))
+    rhs = GridFunction(g, rng.standard_normal(g.shape))
+    cfg = _cfg()
+    expected, reason, products = _reference_hessian_solve(u, rhs, mu, e, cfg)
+    with mock.patch.object(control, "_hessian_product", wraps=control._hessian_product) as spy:
+        if reason == "converged":
+            assert np.array_equal(_hessian_solve(u, rhs, mu, e, cfg).values, expected)
+        else:
+            with pytest.raises(CGBreakdownError):
+                _hessian_solve(u, rhs, mu, e, cfg)
+    assert spy.call_count == products
+
+
+def test_one_adjoint_solve_builds_the_linearization_once(monkeypatch):
+    g = Grid(2, 7)
+    mu = WeightField.ramp(g, 2.0)
+    e = Exponents(4.0, 4.0 / 3.0, 2, 1e-4)
+    rng = np.random.default_rng(5)
+    u = GridFunction(g, 0.3 * rng.standard_normal(g.shape))
+    real = energy_module._hessian_coeff
+    built = []
+    monkeypatch.setattr(
+        energy_module, "_hessian_coeff", lambda *args: built.append(1) or real(*args)
+    )
+    spy = mock.Mock(wraps=control._hessian_product)
+    monkeypatch.setattr(control, "_hessian_product", spy)
+    _hessian_solve(u, GridFunction.full(g, 1.0), mu, e, _cfg())
+    assert spy.call_count > g.n
+    assert len(built) == g.n
+
+
+def test_singular_linearization_raises_only_when_cg_needs_a_product():
+    g = Grid(1, 7)
+    mu = WeightField.constant(g, 0.0)
+    e = Exponents(3.0, 2.0, 1, 0.0)
+    zero = GridFunction.zeros(g)
+    # Every coefficient vanishes at u = 0; a zero rhs makes no product.
+    assert not _hessian_solve(zero, zero, mu, e, _cfg()).values.any()
+    with pytest.raises(SingularLinearizationError, match="eps_reg = 0"):
+        _hessian_solve(zero, GridFunction.full(g, 1.0), mu, e, _cfg())
 
 
 def test_reduced_gradient_without_state_coupling_is_grad_f():
@@ -249,7 +329,7 @@ def test_optimize_control_recognizes_a_stationary_start():
     g = Grid(1, 9)
     mu = WeightField.constant(g, 1.0)
     f0 = GridFunction.zeros(g)
-    u_d = solution_operator(f0, mu, TWO_PHASE, _tight_inner())
+    u_d = SolutionOperator(mu, TWO_PHASE, _tight_inner())(f0)
     obj = tracking_objective(u_d, alpha=0.5)
     rep = optimize_control(obj, f0, mu, TWO_PHASE, _cfg(alpha=0.5))
     assert rep.converged
@@ -263,7 +343,7 @@ def test_optimize_control_drives_the_state_to_the_target():
     x = g.node_coords()[0]
     f_hat = GridFunction(g, 2.0 * np.sin(np.pi * x))
     inner = _tight_inner()
-    u_d = solution_operator(f_hat, mu, QUAD, inner)
+    u_d = SolutionOperator(mu, QUAD, inner)(f_hat)
     alpha = 1e-4
     obj = tracking_objective(u_d, alpha)
     cfg = _cfg(tol_reduced=1e-7, cg_tol=1e-12, alpha=alpha)

@@ -88,8 +88,8 @@ def test_gradient_matches_central_differences():
     for idx in np.ndindex(g.shape):
         bump = np.zeros(g.shape)
         bump[idx] = 1.0
-        up = u.with_values(u.values + t * bump)
-        dn = u.with_values(u.values - t * bump)
+        up = GridFunction(u.grid, u.values + t * bump)
+        dn = GridFunction(u.grid, u.values - t * bump)
         jp = energy(up, f, mu, TWO_PHASE_2D).total
         jm = energy(dn, f, mu, TWO_PHASE_2D).total
         fd[idx] = (jp - jm) / (2.0 * t * cell)
