@@ -395,6 +395,8 @@ def _cmd_control(config: RunConfig) -> int:
             ("converged", report.converged),
             ("status", report.status),
             ("outer_iters", report.outer_iters),
+            ("matvecs", report.matvecs),
+            ("adjoint_matvecs", report.adjoint_matvecs),
             ("stationarity", report.stationarity),
             ("objective", report.objective_trace[-1]),
         ],

@@ -13,7 +13,8 @@ objective j(f) = E(f, psi(f)) then has gradient
 
 the Hessian is self-adjoint in the quadrature pairing and the state
 equation couples to f through the load term alone, whose mixed second
-derivative is the identity in that pairing.  One CG solve per gradient.
+derivative is the identity in that pairing.  One CG solve per gradient,
+preconditioned by the Jacobi diagonal of the same linearization as Newton.
 
 E is pluggable through the Objective record; tracking_objective builds the
 bundled reference instance E(f, u) = 0.5*||u - u_d||_h^2 + 0.5*alpha*||f||_h^2.
@@ -29,7 +30,14 @@ from typing import Callable
 
 import numpy as np
 
-from .energy import Exponents, WeightField, _check_nonsingular, _hessian_product, _linearization
+from .energy import (
+    Exponents,
+    WeightField,
+    _check_nonsingular,
+    _hessian_product,
+    _jacobi_diagonal,
+    _linearization,
+)
 from .errors import CGBreakdownError, InnerSolveError
 from .grid import Grid, GridFunction, _diffs, inner_product
 from .solver import SolveReport, SolverConfig, _backtrack, _cg, solve_inner
@@ -158,6 +166,8 @@ class ControlReport:
     f_star: GridFunction
     u_star: GridFunction
     outer_iters: int
+    matvecs: int  # Hessian products of the inner solves run, failed ones included
+    adjoint_matvecs: int  # Hessian products of the adjoint solves
     objective_trace: tuple[float, ...]
     stationarity: float
     status: str  # "converged" | "max_outer" | "stalled"
@@ -171,7 +181,9 @@ class SolutionOperator:
     """psi(f) that replays its last solve when asked for the same forcing bytes.
 
     One slot is all the outer loop reuses: it only ever asks again for the
-    trial it has just accepted.
+    trial it has just accepted.  matvecs counts the Newton products of the
+    solves it ran, failed ones included; adjoint_matvecs the products of the
+    linearized solves at its states (_hessian_solve with psi = self).
     """
 
     def __init__(self, mu: WeightField, e: Exponents, inner: SolverConfig):
@@ -179,6 +191,8 @@ class SolutionOperator:
         self.exponents = e
         self.inner = inner
         self._last: tuple[bytes, SolveReport] | None = None
+        self.matvecs = 0
+        self.adjoint_matvecs = 0
 
     def report(self, f: GridFunction, warm: GridFunction | None = None) -> SolveReport:
         key = f.values.tobytes()
@@ -186,6 +200,7 @@ class SolutionOperator:
             return self._last[1]
         cfg = self.inner if warm is None else replace(self.inner, init=warm)
         rep = solve_inner(f, self.mu, self.exponents, cfg)
+        self.matvecs += rep.matvecs
         if not rep.converged:
             raise InnerSolveError(
                 f"inner solve did not converge (status {rep.status!r}, "
@@ -199,19 +214,36 @@ class SolutionOperator:
 
 
 def _hessian_solve(
-    u: GridFunction, rhs: GridFunction, mu: WeightField, e: Exponents, cfg: ControlConfig
+    u: GridFunction,
+    rhs: GridFunction,
+    mu: WeightField,
+    e: Exponents,
+    cfg: ControlConfig,
+    psi: SolutionOperator | None = None,
 ) -> GridFunction:
-    """Solve H(u) w = rhs by CG; CGBreakdownError unless it converges."""
+    """Solve H(u) w = rhs by Jacobi-preconditioned CG; CGBreakdownError unless it converges.
+
+    Each Hessian product is added to psi.adjoint_matvecs when psi is given.
+    """
     grid = u.grid
     cg_max = cfg.cg_max if cfg.cg_max > 0 else 10 * grid.n_nodes
     coeffs = _linearization(_diffs(u.values, grid.h), mu.per_axis, e)
+    diag = _jacobi_diagonal(coeffs, grid.h)
 
     def apply_h(values: np.ndarray) -> np.ndarray:
         # Checked per product: a zero rhs makes none and still returns zeros.
         _check_nonsingular(coeffs, e)
+        if psi is not None:
+            psi.adjoint_matvecs += 1
         return _hessian_product(coeffs, values, grid.h)
 
-    solution, reason = _cg(apply_h, np.asarray(rhs.values), cfg.cg_tol, cg_max)
+    solution, reason = _cg(
+        apply_h,
+        np.asarray(rhs.values),
+        cfg.cg_tol,
+        cg_max,
+        inv_diag=None if diag is None else 1.0 / diag,
+    )
     if reason == "curvature":
         raise CGBreakdownError(
             "non-positive curvature in the hessian system; "
@@ -233,8 +265,8 @@ def gateaux_derivative(
     cache: SolutionOperator | None = None,
 ) -> GridFunction:
     """Directional derivative of psi at f along h: solve H(psi(f)) w = h."""
-    u = (cache or SolutionOperator(mu, e, cfg.inner))(f)
-    return _hessian_solve(u, h, mu, e, cfg)
+    psi = cache or SolutionOperator(mu, e, cfg.inner)
+    return _hessian_solve(psi(f), h, mu, e, cfg, psi)
 
 
 def reduced_gradient(
@@ -246,8 +278,9 @@ def reduced_gradient(
     cache: SolutionOperator | None = None,
 ) -> GridFunction:
     """Adjoint gradient of f -> obj.evaluate(f, psi(f)): one hessian solve."""
-    u = (cache or SolutionOperator(mu, e, cfg.inner))(f)
-    lam = _hessian_solve(u, obj.grad_u(f, u), mu, e, cfg)
+    psi = cache or SolutionOperator(mu, e, cfg.inner)
+    u = psi(f)
+    lam = _hessian_solve(u, obj.grad_u(f, u), mu, e, cfg, psi)
     return obj.grad_f(f, u) + lam
 
 
@@ -335,6 +368,8 @@ def optimize_control(
         f_star=f,
         u_star=u,
         outer_iters=outer,
+        matvecs=psi.matvecs,
+        adjoint_matvecs=psi.adjoint_matvecs,
         objective_trace=tuple(trace),
         stationarity=stationarity,
         status=status,

@@ -484,6 +484,26 @@ def _linearization(
     return [_hessian_coeff(g, mu_axes[axis], e) for axis, g in enumerate(diffs)]
 
 
+def _jacobi_diagonal(coeffs: list[np.ndarray], h: float) -> np.ndarray | None:
+    """Diagonal of _hessian_product over the coefficients of _linearization.
+
+    Entry k is hessian_apply(u, e_k)[k] bit for bit: per axis, the two edge
+    coefficients next to node k times 1/h, added and divided by h.  None
+    unless every entry is a normal positive float, so its inverse is finite:
+    an entry vanishes only at eps_reg = 0, where every coefficient around a
+    node does.
+    """
+    inv_h = 1.0 / h
+    diag = 0.0
+    for axis, c in enumerate(coeffs):
+        scaled = (c * inv_h).swapaxes(0, axis)
+        diag = diag + ((scaled[:-1] + scaled[1:]) / h).swapaxes(0, axis)
+    normal = np.finfo(float)
+    if not np.all((diag >= normal.tiny) & (diag <= normal.max)):
+        return None
+    return diag
+
+
 def _check_nonsingular(coeffs: list[np.ndarray], e: Exponents) -> None:
     """Raise SingularLinearizationError if a coefficient vanishes with eps_reg = 0."""
     if e.eps_reg == 0.0 and any(np.any(c == 0.0) for c in coeffs):

@@ -3,15 +3,17 @@
 Each step solves the Newton system H(u) d = g approximately, where H is
 the Hessian of the power terms and g the nodal energy gradient, and then
 takes the Armijo step u - t*d by backtracking from t = 1.  The system is
-solved by truncated conjugate gradients (Steihaug) from d = 0 to the
-relative residual of an Eisenstat-Walker forcing term.  CG truncates when
-it runs out of iterations or meets a direction whose curvature is
-non-positive or numerically null (at most a 1e-12 fraction of the
-Gershgorin bound of H); it then returns its current iterate, or g itself,
-the steepest-descent direction, when the first direction already failed.
-At eps_reg = 0, where H can be singular (the coefficients vanish on edges
-with a zero difference where mu = 0), the method thus degrades to
-gradient descent instead of failing.
+solved by truncated conjugate gradients (Steihaug), preconditioned by the
+Jacobi diagonal of H, from d = 0 to the relative residual of an
+Eisenstat-Walker forcing term; the residual is measured unpreconditioned.
+CG truncates when it runs out of iterations or meets a direction whose
+curvature is non-positive or numerically null (at most a 1e-12 fraction of
+the Gershgorin bound of H); it then returns its current iterate, or g
+itself, the steepest-descent direction, when the first direction already
+failed.  At eps_reg = 0, where H can be singular (the coefficients vanish
+on edges with a zero difference where mu = 0), the method thus degrades to
+gradient descent instead of failing, and CG runs unpreconditioned when a
+diagonal entry of H vanishes.
 
 Convergence is declared on the max-norm of the energy gradient, whose
 component at node k is the weak residual against the indicator of node k
@@ -36,6 +38,7 @@ from .energy import (
     WeightField,
     _flux,
     _hessian_product,
+    _jacobi_diagonal,
     _linearization,
     _pseudo_operator,
     _raw_energy_decrease,
@@ -61,40 +64,54 @@ _EW_GAMMA = 0.9
 _EW_ALPHA = 2.0
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """float(np.sum(a * b)) bit for bit, without np.sum's dispatch overhead."""
+    return float(np.add.reduce(a * b, axis=None))
+
+
 def _cg(
     apply_A: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
     tol: float,
     max_iters: int,
     curvature_floor: float = 0.0,
+    inv_diag: np.ndarray | None = None,
 ) -> tuple[np.ndarray, str]:
     """Conjugate gradients for A x = b from x = 0; returns (x, reason).
 
-    reason is "converged" once |r| <= tol * |b|, "curvature" when a search
-    direction p has p.Ap <= curvature_floor * p.p, and "max_iters" when the
-    iterations run out.  On "curvature" x is the iterate before that
-    direction, or b itself when the first direction already failed.
+    inv_diag, when given, is the inverse of a positive diagonal
+    preconditioner.  reason is "converged" once the unpreconditioned
+    residual has |r| <= tol * |b|, "curvature" when a search direction p
+    has p.Ap <= curvature_floor * p.p, and "max_iters" when the iterations
+    run out.  On "curvature" x is the iterate before that direction, or b
+    itself when the first direction already failed.
     """
     x = np.zeros_like(b)
-    b_norm = float(np.sqrt(np.sum(b * b)))
+    b_norm = math.sqrt(_dot(b, b))
     if b_norm == 0.0:
         return x, "converged"
     r = b.copy()
-    p = r.copy()
-    rs = float(np.sum(r * r))
+    z = r if inv_diag is None else r * inv_diag
+    p = z.copy()
+    rz = _dot(r, z)
     for k in range(max_iters):
         Ap = apply_A(p)
-        pAp = float(np.sum(p * Ap))
-        if pAp <= curvature_floor * float(np.sum(p * p)):
+        pAp = _dot(p, Ap)
+        if pAp <= curvature_floor * _dot(p, p):
             return (b if k == 0 else x), "curvature"
-        alpha = rs / pAp
+        alpha = rz / pAp
         x = x + alpha * p
         r = r - alpha * Ap
-        rs_new = float(np.sum(r * r))
-        if np.sqrt(rs_new) <= tol * b_norm:
+        rr = _dot(r, r)
+        if math.sqrt(rr) <= tol * b_norm:
             return x, "converged"
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        if inv_diag is None:
+            z, rz_new = r, rr
+        else:
+            z = r * inv_diag
+            rz_new = _dot(r, z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     return x, "max_iters"
 
 
@@ -245,7 +262,8 @@ def solve_inner(
             matvecs += 1
             return _hessian_product(coeffs, w, h)
 
-        d, _ = _cg(apply_h, g, eta, vals.size, floor)
+        diag = _jacobi_diagonal(coeffs, h)
+        d, _ = _cg(apply_h, g, eta, vals.size, floor, None if diag is None else 1.0 / diag)
         slope = float(np.sum(g * d))
         if not slope > 0.0:
             # Round-off can tip a long CG iterate off descent; the Armijo

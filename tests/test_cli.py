@@ -499,6 +499,28 @@ def test_control_command_round_trip(tmp_path):
     assert f_star.values.any()
 
 
+def test_control_report_counts_its_products_byte_stably(tmp_path):
+    cfg = _write(
+        tmp_path,
+        "run.cfg",
+        "command = control\ngrid.n = 2\ngrid.m = 5\nexponents.q = 4/3\n"
+        "exponents.epsilon = 1e-4\nweight.kind = constant\nweight.mu0 = 0.5\n"
+        "forcing.kind = preset\nforcing.preset = sine\nsolver.tol = 1e-9\n"
+        "control.alpha = 1e-4\ncontrol.tol_reduced = 1e-6\n",
+    )
+    reports = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["control", "--config", cfg, "--out", str(out)]) == 0
+        reports.append((out / "report.txt").read_bytes())
+    assert reports[0] == reports[1]
+    keys = [line.partition(" = ")[0] for line in reports[0].decode("ascii").splitlines()]
+    at = keys.index("outer_iters")
+    assert keys[at + 1 : at + 3] == ["matvecs", "adjoint_matvecs"]
+    rec = _read_record(tmp_path / "a" / "report.txt")
+    assert int(rec["matvecs"]) > 0 and int(rec["adjoint_matvecs"]) > 0
+
+
 def test_singular_adjoint_linearization_exits_two(tmp_path, capsys):
     # At u = psi(0) = 0 every coefficient on the zero-weight half of the
     # ramp vanishes with epsilon = 0, so the first adjoint product fails.

@@ -202,10 +202,27 @@ def test_cg_raises_when_iterations_run_out():
         _hessian_solve(u, rhs, mu, TWO_PHASE, _cfg(cg_tol=1e-14, cg_max=2))
 
 
+def _indicator_diagonal(u, mu, e):
+    """hessian_apply(u, e_k)[k] for every node k, one public product per node."""
+    grid = u.grid
+    diag = np.empty(grid.shape)
+    probe = np.zeros(grid.shape)
+    for idx in np.ndindex(grid.shape):
+        probe[idx] = 1.0
+        diag[idx] = hessian_apply(u, GridFunction(grid, probe), mu, e).values[idx]
+        probe[idx] = 0.0
+    return diag
+
+
 def _reference_hessian_solve(u, rhs, mu, e, cfg):
-    """The adjoint CG over public hessian_apply products: (solution, reason, products)."""
+    """The adjoint CG over public hessian_apply products: (solution, reason, products).
+
+    Preconditioned by the Jacobi diagonal read off hessian_apply on the
+    nodal indicators, which the solve must reproduce bit for bit.
+    """
     grid = u.grid
     cg_max = cfg.cg_max if cfg.cg_max > 0 else 10 * grid.n_nodes
+    inv_diag = 1.0 / _indicator_diagonal(u, mu, e)
     products = 0
 
     def apply_h(values):
@@ -213,7 +230,7 @@ def _reference_hessian_solve(u, rhs, mu, e, cfg):
         products += 1
         return hessian_apply(u, GridFunction(grid, values), mu, e).values
 
-    solution, reason = _cg(apply_h, np.asarray(rhs.values), cfg.cg_tol, cg_max)
+    solution, reason = _cg(apply_h, np.asarray(rhs.values), cfg.cg_tol, cg_max, inv_diag=inv_diag)
     return solution, reason, products
 
 
@@ -370,6 +387,34 @@ def test_optimize_control_strong_regularization_keeps_f_small():
     assert rep.converged
     # Stationarity alpha*f + lambda = 0 with bounded lambda pins f near 0.
     assert np.max(np.abs(rep.f_star.values)) <= 1e-4
+
+
+@pytest.mark.parametrize("alpha, inner_iters, max_outer", [(1e-2, 50_000, 10_000), (1e-4, 4, 5)])
+def test_control_report_counts_every_newton_and_adjoint_product(
+    monkeypatch, alpha, inner_iters, max_outer
+):
+    # With 4 Newton steps per solve some trial solves fail; their products count too.
+    g = Grid(2, 5)
+    mu = WeightField.constant(g, 0.5)
+    e = Exponents(4.0, 4.0 / 3.0, 2, 1e-4)
+    x, y = np.meshgrid(*g.node_coords(), indexing="ij")
+    u_d = SolutionOperator(mu, e, _tight_inner())(GridFunction(g, 20.0 * np.sin(np.pi * x) * y))
+    obj = tracking_objective(u_d, alpha)
+    inner = SolverConfig(tol_grad=1e-9, max_iters=inner_iters)
+    cfg = ControlConfig(inner=inner, tol_reduced=1e-6, max_outer=max_outer, alpha=alpha)
+    inner_reports = []
+    real_solve = control.solve_inner
+    monkeypatch.setattr(
+        control, "solve_inner", lambda *args: inner_reports.append(real_solve(*args)) or inner_reports[-1]
+    )
+    spy = mock.Mock(wraps=control._hessian_product)
+    monkeypatch.setattr(control, "_hessian_product", spy)
+    rep = optimize_control(obj, GridFunction.zeros(g), mu, e, cfg)
+    assert rep.outer_iters >= 1
+    assert rep.converged == (inner_iters > 4)
+    assert all(r.converged for r in inner_reports) == (inner_iters > 4)
+    assert rep.matvecs == sum(r.matvecs for r in inner_reports) > 0
+    assert rep.adjoint_matvecs == spy.call_count > 0
 
 
 def test_control_config_validation():

@@ -22,7 +22,7 @@ from pseudophase import (
     validate_exponents,
     weak_residual,
 )
-from pseudophase.energy import _raw_energy_decrease
+from pseudophase.energy import _jacobi_diagonal, _linearization, _raw_energy_decrease
 from pseudophase.grid import _diffs
 
 QUAD = Exponents(p=2.0, q=2.0, n=1, eps_reg=0.0)
@@ -289,6 +289,51 @@ def test_hessian_singular_without_regularization():
     z = GridFunction.zeros(g)
     with pytest.raises(SingularLinearizationError):
         hessian_apply(z, z, mu, e)
+
+
+def _indicator_diagonal(u, mu, e):
+    """hessian_apply(u, e_k)[k] for every node k: the diagonal as the product makes it."""
+    grid = u.grid
+    diag = np.empty(grid.shape)
+    probe = np.zeros(grid.shape)
+    for idx in np.ndindex(grid.shape):
+        probe[idx] = 1.0
+        diag[idx] = hessian_apply(u, GridFunction(grid, probe), mu, e).values[idx]
+        probe[idx] = 0.0
+    return diag
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    m=st.integers(1, 12),
+    pq=st.sampled_from([(2.0, 2.0), (3.0, 2.0), (4.0, 4.0 / 3.0), (3.0, 1.5)]),
+    eps_reg=st.sampled_from([1e-4, 1e-2, 1.0]),
+    weight=st.sampled_from(["constant", "ramp"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_jacobi_diagonal_equals_hessian_apply_on_the_indicators(n, m, pq, eps_reg, weight, seed):
+    g = Grid(n, m)
+    e = Exponents(pq[0], pq[1], n, eps_reg)
+    mu = WeightField.constant(g, 0.7) if weight == "constant" else WeightField.ramp(g, 2.0)
+    rng = np.random.default_rng(seed)
+    vals = 10.0 ** rng.uniform(-4.0, 1.0) * rng.standard_normal(g.shape)
+    vals[rng.random(g.shape) < 0.3] = 0.0
+    u = GridFunction(g, vals)
+    diag = _jacobi_diagonal(_linearization(_diffs(u.values, g.h), mu.per_axis, e), g.h)
+    assert np.array_equal(diag, _indicator_diagonal(u, mu, e))
+
+
+@pytest.mark.parametrize("weight", ["zero", "ramp"])
+def test_jacobi_diagonal_is_none_where_a_node_loses_every_coefficient(weight):
+    # At u = 0 with eps_reg = 0 and q = 2 the coefficients are mu, so every
+    # node where mu = 0 on all adjacent edges has a zero diagonal entry.
+    g = Grid(2, 6)
+    e = Exponents(3.0, 2.0, 2, 0.0)
+    mu = WeightField.constant(g, 0.0) if weight == "zero" else WeightField.ramp(g, 2.0)
+    coeffs = _linearization(_diffs(np.zeros(g.shape), g.h), mu.per_axis, e)
+    with np.errstate(all="raise"):
+        assert _jacobi_diagonal(coeffs, g.h) is None
 
 
 @pytest.mark.parametrize(

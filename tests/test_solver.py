@@ -258,6 +258,120 @@ def test_cg_truncates_at_null_curvature_with_its_current_iterate():
     assert np.max(np.abs(x)) > 1e19
 
 
+def _frozen_cg(apply_A, b, tol, max_iters, curvature_floor=0.0):
+    """_cg as it was before the Jacobi preconditioner, kept as the oracle."""
+    x = np.zeros_like(b)
+    b_norm = float(np.sqrt(np.sum(b * b)))
+    if b_norm == 0.0:
+        return x, "converged"
+    r = b.copy()
+    p = r.copy()
+    rs = float(np.sum(r * r))
+    for k in range(max_iters):
+        Ap = apply_A(p)
+        pAp = float(np.sum(p * Ap))
+        if pAp <= curvature_floor * float(np.sum(p * p)):
+            return (b if k == 0 else x), "curvature"
+        alpha = rs / pAp
+        x = x + alpha * p
+        r = r - alpha * Ap
+        rs_new = float(np.sum(r * r))
+        if np.sqrt(rs_new) <= tol * b_norm:
+            return x, "converged"
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    return x, "max_iters"
+
+
+def _cg_case(kind, size, seed):
+    """(A, b): SPD with a wide spectrum, indefinite, or with a near-null eigenvalue."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    spectrum = 10.0 ** rng.uniform(-3.0, 3.0, size)
+    if kind == "indefinite":
+        spectrum *= rng.choice([-1.0, 1.0], size)
+    elif kind == "near-null":
+        spectrum[rng.integers(size)] = 1e-20
+    return (q * spectrum) @ q.T, rng.standard_normal(size)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["spd", "indefinite", "near-null"]),
+    size=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from([1e-2, 1e-6, 1e-12]),
+    max_iters=st.integers(1, 40),
+    floor=st.sampled_from([0.0, 1e-12]),
+)
+def test_cg_without_a_preconditioner_repeats_the_frozen_iterates(
+    kind, size, seed, tol, max_iters, floor
+):
+    A, b = _cg_case(kind, size, seed)
+    expected, why = _frozen_cg(lambda v: A @ v, b, tol, max_iters, floor)
+    for inv_diag in (None, np.ones(size)):
+        x, reason = _cg(lambda v: A @ v, b, tol, max_iters, floor, inv_diag)
+        assert reason == why
+        assert np.array_equal(x, expected)
+
+
+def test_cg_with_the_frozen_curvature_cases_and_a_unit_diagonal():
+    A = np.diag([1.0, 1e-20])
+    b = np.array([1.0, 1.0])
+    for floor in (0.0, 1e-12):
+        expected = _frozen_cg(lambda v: A @ v, b, 1e-12, 10, floor)
+        got = _cg(lambda v: A @ v, b, 1e-12, 10, floor, np.ones(2))
+        assert got[1] == expected[1] and np.array_equal(got[0], expected[0])
+    x, reason = _cg(lambda v: -v, np.ones(4), 1e-10, 10, inv_diag=np.ones(4))
+    assert reason == "curvature" and np.array_equal(x, np.ones(4))
+
+
+def test_jacobi_cg_stops_on_the_unpreconditioned_residual():
+    # A badly scaled SPD matrix D K D: Jacobi undoes D, plain CG cannot.
+    rng = np.random.default_rng(3)
+    size = 40
+    q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+    scale = 10.0 ** rng.uniform(-1.5, 1.5, size)
+    A = scale[:, None] * ((q * rng.uniform(1.0, 4.0, size)) @ q.T) * scale[None, :]
+    b = rng.standard_normal(size)
+    counts = {}
+    for name, inv_diag in (("plain", None), ("jacobi", 1.0 / np.diag(A))):
+        products = []
+        x, reason = _cg(lambda v: products.append(1) or A @ v, b, 1e-8, 10 * size, 0.0, inv_diag)
+        assert reason == "converged"
+        assert np.linalg.norm(b - A @ x) <= 2e-8 * np.linalg.norm(b)
+        counts[name] = len(products)
+    assert counts["jacobi"] < counts["plain"]
+
+
+def _ramp_sine_problem(m):
+    """2-D strict p = 4 with a weight vanishing on half the box and sine forcing."""
+    g = Grid(2, m)
+    e = Exponents(4.0, 4.0 / 3.0, 2, 1e-4, strict_sobolev=True)
+    mu = WeightField.ramp(g, 2.0)
+    f = GridFunction.from_callable(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+    return f, mu, e
+
+
+@pytest.mark.parametrize("m, budget", [(31, 400), (63, 1000)])
+def test_jacobi_newton_stays_within_its_matvec_budget(m, budget):
+    # Unpreconditioned, these solves took 6 678 and 25 081 products.
+    rep = solve_inner(*_ramp_sine_problem(m), SolverConfig(tol_grad=1e-6))
+    assert rep.converged
+    assert rep.matvecs <= budget
+
+
+def test_jacobi_and_plain_newton_agree_to_the_tolerance(monkeypatch):
+    f, mu, e = _ramp_sine_problem(31)
+    cfg = SolverConfig(tol_grad=1e-8)
+    jacobi = solve_inner(f, mu, e, cfg)
+    monkeypatch.setattr(solver_module, "_jacobi_diagonal", lambda coeffs, h: None)
+    plain = solve_inner(f, mu, e, cfg)
+    assert jacobi.converged and plain.converged
+    assert plain.matvecs > 10 * jacobi.matvecs
+    assert np.max(np.abs(jacobi.u_star.values - plain.u_star.values)) <= 1e-10
+
+
 def _indicator_loop(u, f, mu, e):
     """weak_residual against the indicator of every node, one call per node."""
     out = np.empty(u.grid.shape)
