@@ -397,6 +397,8 @@ def _cmd_control(config: RunConfig) -> int:
             ("outer_iters", report.outer_iters),
             ("matvecs", report.matvecs),
             ("adjoint_matvecs", report.adjoint_matvecs),
+            ("trial_solves", report.trial_solves),
+            ("model_cg_iters", report.model_cg_iters),
             ("stationarity", report.stationarity),
             ("objective", report.objective_trace[-1]),
         ],

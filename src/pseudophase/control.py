@@ -16,6 +16,18 @@ equation couples to f through the load term alone, whose mixed second
 derivative is the identity in that pairing.  One CG solve per gradient,
 preconditioned by the Jacobi diagonal of the same linearization as Newton.
 
+The outer loop is reduced Gauss-Newton-CG.  With S = H(psi(f))^-1 the
+linearized state map, the model Hessian is
+
+    M w = S (E_uu (S w)) + E_ff w,
+
+the reduced Hessian without the mixed term E_uf and without psi's second
+derivative, which the adjoint lambda would weight.  E_uu and E_ff act as
+differences of grad_u and grad_f, exact for an E quadratic in u and in f
+separately.  Each outer step solves M d = grad j by truncated CG, takes an
+Armijo step from t = 1, and solves each trial f - t*d only to an inner
+tolerance tied to the size of t*d.
+
 E is pluggable through the Objective record; tracking_objective builds the
 bundled reference instance E(f, u) = 0.5*||u - u_d||_h^2 + 0.5*alpha*||f||_h^2.
 Note the regularizer is the discrete L2 norm of f, chosen for outer
@@ -40,7 +52,7 @@ from .energy import (
 )
 from .errors import CGBreakdownError, InnerSolveError
 from .grid import Grid, GridFunction, _diffs, inner_product
-from .solver import SolveReport, SolverConfig, _backtrack, _cg, solve_inner
+from .solver import SolveReport, SolverConfig, _backtrack, _cg, _dot, solve_inner
 
 __all__ = [
     "Objective",
@@ -168,6 +180,8 @@ class ControlReport:
     outer_iters: int
     matvecs: int  # Hessian products of the inner solves run, failed ones included
     adjoint_matvecs: int  # Hessian products of the adjoint solves
+    trial_solves: int  # inner solves the line search ran, failed ones included
+    model_cg_iters: int  # Gauss-Newton model products, summed over the outer steps
     objective_trace: tuple[float, ...]
     stationarity: float
     status: str  # "converged" | "max_outer" | "stalled"
@@ -180,9 +194,11 @@ class ControlReport:
 class SolutionOperator:
     """psi(f) that replays its last solve when asked for the same forcing bytes.
 
-    One slot is all the outer loop reuses: it only ever asks again for the
-    trial it has just accepted.  matvecs counts the Newton products of the
-    solves it ran, failed ones included; adjoint_matvecs the products of the
+    A solve runs to tol, by default inner.tol_grad; the slot is replayed
+    only when its tolerance is at most the one asked for.  One slot is all
+    the outer loop reuses: it only ever asks again for the trial it has just
+    accepted.  solves counts the solves it ran and matvecs their Newton
+    products, failed ones included; adjoint_matvecs the products of the
     linearized solves at its states (_hessian_solve with psi = self).
     """
 
@@ -190,27 +206,33 @@ class SolutionOperator:
         self.mu = mu
         self.exponents = e
         self.inner = inner
-        self._last: tuple[bytes, SolveReport] | None = None
+        self._last: tuple[bytes, float, SolveReport] | None = None
+        self.solves = 0
         self.matvecs = 0
         self.adjoint_matvecs = 0
 
-    def report(self, f: GridFunction, warm: GridFunction | None = None) -> SolveReport:
+    def report(
+        self, f: GridFunction, warm: GridFunction | None = None, tol: float | None = None
+    ) -> SolveReport:
         key = f.values.tobytes()
-        if self._last is not None and self._last[0] == key:
-            return self._last[1]
-        cfg = self.inner if warm is None else replace(self.inner, init=warm)
-        rep = solve_inner(f, self.mu, self.exponents, cfg)
+        tol = self.inner.tol_grad if tol is None else tol
+        if self._last is not None and self._last[0] == key and self._last[1] <= tol:
+            return self._last[2]
+        rep = solve_inner(f, self.mu, self.exponents, replace(self.inner, tol_grad=tol, init=warm))
+        self.solves += 1
         self.matvecs += rep.matvecs
         if not rep.converged:
             raise InnerSolveError(
                 f"inner solve did not converge (status {rep.status!r}, "
                 f"grad norm {rep.final_grad_norm:.3e})"
             )
-        self._last = (key, rep)
+        self._last = (key, tol, rep)
         return rep
 
-    def __call__(self, f: GridFunction, warm: GridFunction | None = None) -> GridFunction:
-        return self.report(f, warm).u_star
+    def __call__(
+        self, f: GridFunction, warm: GridFunction | None = None, tol: float | None = None
+    ) -> GridFunction:
+        return self.report(f, warm, tol).u_star
 
 
 def _hessian_solve(
@@ -284,21 +306,43 @@ def reduced_gradient(
     return obj.grad_f(f, u) + lam
 
 
-_BB_CLAMP = (1e-14, 1e14)
+#: A trial f - t*d is solved to inner tolerance min(inner.tol_grad,
+#: _KAPPA * max|t*d|): loose for long steps, tight near the optimum.
+_KAPPA = 0.1
 
 
-def _bb_step(prev_s: np.ndarray | None, prev_y: np.ndarray | None) -> float:
-    """Barzilai-Borwein trial step s.s / s.y from the last accepted step.
+def _gauss_newton_direction(
+    f: GridFunction,
+    u: GridFunction,
+    g: GridFunction,
+    obj: Objective,
+    mu: WeightField,
+    e: Exponents,
+    cfg: ControlConfig,
+    psi: SolutionOperator,
+) -> tuple[np.ndarray, int]:
+    """Truncated CG on M d = g from d = 0; returns (d, products of M).
 
-    Clamped to _BB_CLAMP; 1.0 before the first step or when s.y <= 0.
+    M is the Gauss-Newton model at the state u = psi(f) (see the module
+    docstring).  CG stops at the relative residual min(0.5, sqrt|g|_2), after
+    n_nodes products, or at the first direction of non-positive curvature,
+    which hands back g itself when it is the first one.
     """
-    if prev_s is None:
-        return 1.0
-    sy = float(np.dot(prev_s.ravel(), prev_y.ravel()))
-    if not sy > 0.0:
-        return 1.0
-    ss = float(np.dot(prev_s.ravel(), prev_s.ravel()))
-    return min(max(ss / sy, _BB_CLAMP[0]), _BB_CLAMP[1])
+    grid = f.grid
+    gu0, gf0 = obj.grad_u(f, u), obj.grad_f(f, u)
+    products = 0
+
+    def apply_m(values: np.ndarray) -> np.ndarray:
+        nonlocal products
+        products += 1
+        w = GridFunction(grid, values)
+        sw = _hessian_solve(u, w, mu, e, cfg, psi)
+        ssw = _hessian_solve(u, obj.grad_u(f, u + sw) - gu0, mu, e, cfg, psi)
+        return (ssw + (obj.grad_f(f + w, u) - gf0)).values
+
+    tol = min(0.5, math.sqrt(math.sqrt(_dot(g.values, g.values))))
+    d, _ = _cg(apply_m, g.values, tol, grid.n_nodes)
+    return d, products
 
 
 def optimize_control(
@@ -308,14 +352,17 @@ def optimize_control(
     e: Exponents,
     cfg: ControlConfig,
 ) -> ControlReport:
-    """Reduced-gradient descent on f with Armijo backtracking.
+    """Reduced Gauss-Newton-CG on f with Armijo backtracking from t = 1.
 
     Every trial step re-solves the inner problem warm-started at the
-    current state; a trial whose inner solve fails to converge is treated
-    like an insufficient-decrease trial and the step shrinks.  Terminates
-    when the reduced gradient's max-norm drops to tol_reduced (the discrete
-    first-order necessary condition), or flags the best iterate when the
-    outer cap or the step floor is hit.
+    current state, to min(inner.tol_grad, _KAPPA * max|t*d|), so
+    inner.tol_grad is a ceiling and the returned state meets it.  A trial
+    whose inner solve fails to converge is treated like an
+    insufficient-decrease trial and the step shrinks.  A model direction
+    d with grad j . d <= 0 is replaced by the reduced gradient.
+    Terminates when the reduced gradient's max-norm drops to tol_reduced
+    (the discrete first-order necessary condition), or flags the best
+    iterate when the outer cap or the step floor is hit.
     """
     grid = f0.grid
     obj.self_test(grid)
@@ -329,8 +376,7 @@ def optimize_control(
     cell = grid.h**grid.n
     status = "max_outer"
     outer = 0
-    prev_s: np.ndarray | None = None
-    prev_y: np.ndarray | None = None
+    model_cg_iters = 0
 
     for _ in range(cfg.max_outer):
         stationarity = float(np.max(np.abs(g.values)))
@@ -338,26 +384,34 @@ def optimize_control(
             status = "converged"
             break
 
-        decrease = cfg.armijo_c * cell * float(np.sum(g.values * g.values))
+        d, products = _gauss_newton_direction(f, u, g, obj, mu, e, cfg, psi)
+        model_cg_iters += products
+        slope = _dot(g.values, d)
+        if not slope > 0.0:
+            d, slope = g.values, _dot(g.values, g.values)
+        decrease = cfg.armijo_c * cell * slope
 
         def trial(t: float) -> tuple[float, tuple[GridFunction, GridFunction] | None]:
-            f_trial = GridFunction(grid, f.values - t * g.values)
+            step = t * d
+            f_trial = GridFunction(grid, f.values - step)
+            tol = min(cfg.inner.tol_grad, _KAPPA * float(np.max(np.abs(step))))
+            if not tol > 0.0:
+                # The step underflowed: nothing left to solve for.
+                return math.inf, None
             try:
-                u_trial = psi(f_trial, warm=u)
+                u_trial = psi(f_trial, warm=u, tol=tol)
             except InnerSolveError:
                 return math.inf, None
             return obj.evaluate(f_trial, u_trial), (f_trial, u_trial)
 
-        accepted = _backtrack(trial, _bb_step(prev_s, prev_y), cfg.backtrack, j_val, decrease)
+        accepted = _backtrack(trial, 1.0, cfg.backtrack, j_val, decrease)
         if accepted is None:
             status = "stalled"
             break
         _, j_trial, (f_trial, u_trial) = accepted
 
-        g_new = reduced_gradient(f_trial, obj, mu, e, cfg, cache=psi)
-        prev_s = f_trial.values - f.values
-        prev_y = g_new.values - g.values
-        f, u, j_val, g = f_trial, u_trial, j_trial, g_new
+        g = reduced_gradient(f_trial, obj, mu, e, cfg, cache=psi)
+        f, u, j_val = f_trial, u_trial, j_trial
         trace.append(j_val)
         outer += 1
 
@@ -370,6 +424,9 @@ def optimize_control(
         outer_iters=outer,
         matvecs=psi.matvecs,
         adjoint_matvecs=psi.adjoint_matvecs,
+        # Every solve but the cold one at f0 was a line-search trial.
+        trial_solves=psi.solves - 1,
+        model_cg_iters=model_cg_iters,
         objective_trace=tuple(trace),
         stationarity=stationarity,
         status=status,

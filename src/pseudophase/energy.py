@@ -136,10 +136,6 @@ def validate_exponents(
     """
     if mode not in ("strict", "relaxed"):
         raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
-    if n not in (1, 2):
-        raise ValueError(f"dimension must be 1 or 2, got {n}")
-    if not q > 1.0:
-        raise ValueError(f"q must exceed 1, got {q}")
     if p_override is not None and not math.isfinite(p_override):
         raise ValueError(f"p must be finite, got {p_override}")
     if mode == "strict":
@@ -148,6 +144,8 @@ def validate_exponents(
                 f"strict coupling requires q < n (got q={q}, n={n}); "
                 "1/p = 1/q - 1/n has no admissible p otherwise"
             )
+        # The record checks n and q > 1 before 1/q and 1/n are taken.
+        Exponents(p=q, q=q, n=n, eps_reg=eps_reg)
         inv_p = 1.0 / q - 1.0 / n
         p = 1.0 / inv_p
         if p_override is not None and abs(p_override - p) > _STRICT_TOL:

@@ -517,8 +517,29 @@ def test_control_report_counts_its_products_byte_stably(tmp_path):
     keys = [line.partition(" = ")[0] for line in reports[0].decode("ascii").splitlines()]
     at = keys.index("outer_iters")
     assert keys[at + 1 : at + 3] == ["matvecs", "adjoint_matvecs"]
+    assert keys[at + 3 : at + 5] == ["trial_solves", "model_cg_iters"]
     rec = _read_record(tmp_path / "a" / "report.txt")
     assert int(rec["matvecs"]) > 0 and int(rec["adjoint_matvecs"]) > 0
+    assert int(rec["trial_solves"]) >= int(rec["outer_iters"])
+    assert int(rec["model_cg_iters"]) >= int(rec["outer_iters"])
+
+
+def test_control_with_a_vanishing_ramp_weight_converges(tmp_path):
+    # The weight is zero on part of the box; at default tolerances the outer
+    # loop used to stall with inner solves too loose for its steps.
+    cfg = _write(
+        tmp_path,
+        "run.cfg",
+        "command = control\ngrid.n = 2\ngrid.m = 7\nexponents.q = 4/3\n"
+        "exponents.epsilon = 1e-4\nweight.kind = ramp\nweight.mu1 = 2\n"
+        "forcing.kind = preset\nforcing.preset = sine\n",
+    )
+    out = tmp_path / "out"
+    assert main(["control", "--config", cfg, "--out", str(out)]) == 0
+    rec = _read_record(out / "report.txt")
+    assert rec["status"] == "converged"
+    assert float(rec["stationarity"]) <= 1e-5
+    assert int(rec["outer_iters"]) >= 1
 
 
 def test_singular_adjoint_linearization_exits_two(tmp_path, capsys):

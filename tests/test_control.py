@@ -25,9 +25,11 @@ from pseudophase import (
     optimize_control,
     reduced_gradient,
     tracking_objective,
+    validate_exponents,
 )
-from pseudophase import control
+from pseudophase import control, solver
 from pseudophase.control import _hessian_solve
+from pseudophase.grid import inner_product
 from pseudophase.solver import _cg
 
 # The package exports the function `energy`, which shadows its module.
@@ -124,6 +126,27 @@ def test_solution_operator_keeps_only_the_last_solve(monkeypatch):
     assert reports[2] is reports[1]
     assert reports[3] is not reports[0]
     assert np.array_equal(reports[3].u_star.values, reports[0].u_star.values)
+
+
+def test_solution_operator_replays_only_a_solve_at_least_as_tight(monkeypatch):
+    real = control.solve_inner
+    tols = []
+
+    def counting(f, mu, e, cfg):
+        tols.append(cfg.tol_grad)
+        return real(f, mu, e, cfg)
+
+    monkeypatch.setattr(control, "solve_inner", counting)
+    g = Grid(1, 9)
+    op = SolutionOperator(WeightField.constant(g, 1.0), TWO_PHASE, SolverConfig(tol_grad=1e-6))
+    f = GridFunction(g, np.linspace(-1.0, 1.0, 9))
+    tight = op.report(f, tol=1e-10)
+    assert op.report(f) is tight  # the default 1e-6 is looser
+    assert op.report(f, tol=1e-10) is tight
+    finer = op.report(f, tol=1e-11)
+    assert finer is not tight and finer.final_grad_norm <= 1e-11
+    assert tols == [1e-10, 1e-11]
+    assert op.solves == 2
 
 
 def test_unconverged_inner_solve_raises_instead_of_returning():
@@ -389,6 +412,119 @@ def test_optimize_control_strong_regularization_keeps_f_small():
     assert np.max(np.abs(rep.f_star.values)) <= 1e-4
 
 
+def test_optimize_control_falls_back_to_the_gradient_for_a_concave_state_term(monkeypatch):
+    # E = -0.5 c |u|^2 + 0.5 |f|^2 is bounded below for p = 3 (|u| grows like
+    # |f|^(1/2)) but its model operator I - c S S is indefinite near u = 0.
+    g = Grid(1, 9)
+    mu = WeightField.constant(g, 1.0)
+    e = Exponents(3.0, 2.0, 1, 1e-4)
+    c = 1e3
+    obj = Objective(
+        evaluate=lambda f, u: -0.5 * c * inner_product(u, u) + 0.5 * inner_product(f, f),
+        grad_u=lambda f, u: -c * u,
+        grad_f=lambda f, u: f,
+    )
+    real = control._gauss_newton_direction
+    fallbacks = []
+
+    def direction(f, u, grad, *args):
+        d, products = real(f, u, grad, *args)
+        fallbacks.append(np.array_equal(d, grad.values))
+        return d, products
+
+    monkeypatch.setattr(control, "_gauss_newton_direction", direction)
+    f0 = GridFunction(g, 5.0 * np.sin(np.pi * g.node_coords()[0]))
+    rep = optimize_control(obj, f0, mu, e, _cfg(tol_reduced=1e-6, max_outer=60))
+    assert rep.outer_iters >= 2
+    assert np.all(np.diff(np.asarray(rep.objective_trace)) < 0.0)
+    assert fallbacks[0]  # the first model direction met negative curvature
+    assert rep.converged
+
+
+def _outlier_case(seed, amplitude, m):
+    """Seeded tracking problem that sent Barzilai-Borwein into 1000+ outer steps."""
+    rng = np.random.default_rng(seed)
+    b, c, d = 0.01 * rng.uniform(-1.0, 1.0, 3)
+    g = Grid(2, m)
+    x, y = np.meshgrid(*g.node_coords(), indexing="ij")
+    mu = WeightField.from_nodal(g, GridFunction(g, 0.5 + 0.5 * x * y))
+    e = validate_exponents(4.0 / 3.0, 2, eps_reg=1e-4)
+    sx, sy = np.sin(np.pi * x), np.sin(np.pi * y)
+    target = amplitude * (1.0 + b) * (
+        sx * sy + c * np.sin(2 * np.pi * x) * sy + d * sx * np.sin(2 * np.pi * y)
+    )
+    inner = SolverConfig(tol_grad=1e-8)
+    u_d = SolutionOperator(mu, e, inner)(GridFunction(g, target))
+    cfg = ControlConfig(inner=inner, alpha=1e-6, tol_reduced=1e-5, cg_tol=1e-10)
+    return optimize_control(tracking_objective(u_d, 1e-6), GridFunction.zeros(g), mu, e, cfg)
+
+
+def test_outer_iterations_stay_near_the_median_on_nearby_inputs():
+    typical = [_outlier_case(seed, 22.0, 7) for seed in range(12)]
+    assert all(r.converged for r in typical)
+    median = float(np.median([r.outer_iters for r in typical]))
+    cases = [_outlier_case(seed, 22.0, 7) for seed in (12, 58)]
+    cases += [_outlier_case(seed, 15.0, 5) for seed in range(3)]
+    for rep in typical + cases:
+        assert rep.converged
+        assert rep.outer_iters <= 3.0 * median
+
+
+def _dense_hessian(u, mu, e):
+    """Columns of hessian_apply at u on every nodal indicator."""
+    g = u.grid
+    columns = []
+    for k in range(g.n_nodes):
+        indicator = np.zeros(g.n_nodes)
+        indicator[k] = 1.0
+        w = GridFunction(g, indicator.reshape(g.shape))
+        columns.append(hessian_apply(u, w, mu, e).values.ravel())
+    return np.column_stack(columns)
+
+
+def _dense_stationarity(f, u, u_d, alpha, mu, e):
+    """max|alpha f + lambda| with lambda from a dense solve of H(u) lambda = u - u_d.
+
+    Also returns the bound on its distance from the CG-based figure for a
+    relative CG residual of 1: |gap|_2 / s_min(H), and the round-off floor.
+    """
+    hess = _dense_hessian(u, mu, e)
+    gap = (u.values - u_d.values).ravel()
+    lam = np.linalg.solve(hess, gap)
+    stat = float(np.max(np.abs(alpha * f.values.ravel() + lam)))
+    s_min = float(np.linalg.svd(hess, compute_uv=False).min())
+    roundoff = 64.0 * np.linalg.cond(hess) * np.finfo(float).eps * float(np.linalg.norm(lam))
+    return stat, float(np.linalg.norm(gap)) / s_min, roundoff
+
+
+@pytest.mark.parametrize("n, m", [(1, 9), (2, 5)])
+def test_control_result_meets_the_optimality_system_by_a_dense_solve(monkeypatch, n, m):
+    g = Grid(n, m)
+    mu = WeightField.constant(g, 0.5)
+    e = Exponents(4.0, 4.0 / 3.0, n, 1e-4)
+    coords = np.meshgrid(*g.node_coords(), indexing="ij")
+    shape = 20.0 * np.sin(np.pi * coords[0]) * (coords[1] if n == 2 else 1.0)
+    inner = _tight_inner()
+    u_d = SolutionOperator(mu, e, inner)(GridFunction(g, shape))
+    alpha = 1e-4
+    cfg = ControlConfig(inner=inner, alpha=alpha, tol_reduced=1e-6, cg_tol=1e-11)
+    rep = optimize_control(tracking_objective(u_d, alpha), GridFunction.zeros(g), mu, e, cfg)
+    assert rep.converged and rep.outer_iters >= 1
+    f_off = 1.01 * rep.f_star
+    u_off = SolutionOperator(mu, e, inner)(f_off)
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the oracle must not use the program's CG")
+
+    for module, name in ((control, "_hessian_solve"), (control, "_cg"), (solver, "_cg")):
+        monkeypatch.setattr(module, name, broken)
+    stat, scale, roundoff = _dense_stationarity(rep.f_star, rep.u_star, u_d, alpha, mu, e)
+    assert abs(stat - rep.stationarity) <= 4.0 * cfg.cg_tol * scale + roundoff
+    assert stat <= cfg.tol_reduced
+    off, _, _ = _dense_stationarity(f_off, u_off, u_d, alpha, mu, e)
+    assert off > 10.0 * cfg.tol_reduced
+
+
 @pytest.mark.parametrize("alpha, inner_iters, max_outer", [(1e-2, 50_000, 10_000), (1e-4, 4, 5)])
 def test_control_report_counts_every_newton_and_adjoint_product(
     monkeypatch, alpha, inner_iters, max_outer
@@ -404,17 +540,30 @@ def test_control_report_counts_every_newton_and_adjoint_product(
     cfg = ControlConfig(inner=inner, tol_reduced=1e-6, max_outer=max_outer, alpha=alpha)
     inner_reports = []
     real_solve = control.solve_inner
+    warm_starts = []
     monkeypatch.setattr(
-        control, "solve_inner", lambda *args: inner_reports.append(real_solve(*args)) or inner_reports[-1]
+        control,
+        "solve_inner",
+        lambda *args: warm_starts.append(args[3].init is not None)
+        or inner_reports.append(real_solve(*args))
+        or inner_reports[-1],
     )
     spy = mock.Mock(wraps=control._hessian_product)
     monkeypatch.setattr(control, "_hessian_product", spy)
+    solves = mock.Mock(wraps=control._hessian_solve)
+    monkeypatch.setattr(control, "_hessian_solve", solves)
     rep = optimize_control(obj, GridFunction.zeros(g), mu, e, cfg)
     assert rep.outer_iters >= 1
     assert rep.converged == (inner_iters > 4)
     assert all(r.converged for r in inner_reports) == (inner_iters > 4)
     assert rep.matvecs == sum(r.matvecs for r in inner_reports) > 0
     assert rep.adjoint_matvecs == spy.call_count > 0
+    # Only the first solve, at f0, is cold; every other one is a trial.
+    assert warm_starts[0] is False
+    assert rep.trial_solves == sum(warm_starts) == len(inner_reports) - 1 >= rep.outer_iters
+    # One adjoint solve per accepted iterate and two per model product.
+    assert solves.call_count == 1 + rep.outer_iters + 2 * rep.model_cg_iters
+    assert rep.model_cg_iters >= rep.outer_iters
 
 
 def test_control_config_validation():
