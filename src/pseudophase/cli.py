@@ -399,6 +399,7 @@ def _cmd_control(config: RunConfig) -> int:
             ("adjoint_matvecs", report.adjoint_matvecs),
             ("trial_solves", report.trial_solves),
             ("model_cg_iters", report.model_cg_iters),
+            ("model_matvecs", report.model_matvecs),
             ("stationarity", report.stationarity),
             ("objective", report.objective_trace[-1]),
         ],

@@ -24,9 +24,10 @@ linearized state map, the model Hessian is
 the reduced Hessian without the mixed term E_uf and without psi's second
 derivative, which the adjoint lambda would weight.  E_uu and E_ff act as
 differences of grad_u and grad_f, exact for an E quadratic in u and in f
-separately.  Each outer step solves M d = grad j by truncated CG, takes an
-Armijo step from t = 1, and solves each trial f - t*d only to an inner
-tolerance tied to the size of t*d.
+separately.  Each outer step solves M d = grad j by truncated CG, with the
+S solves in M only as tight as that CG needs, takes an Armijo step from
+t = 1, and solves each trial f - t*d only to an inner tolerance tied to the
+size of t*d.
 
 E is pluggable through the Objective record; tracking_objective builds the
 bundled reference instance E(f, u) = 0.5*||u - u_d||_h^2 + 0.5*alpha*||f||_h^2.
@@ -49,6 +50,7 @@ from .energy import (
     _hessian_product,
     _jacobi_diagonal,
     _linearization,
+    _Linearization,
 )
 from .errors import CGBreakdownError, InnerSolveError
 from .grid import Grid, GridFunction, _diffs, inner_product
@@ -182,6 +184,7 @@ class ControlReport:
     adjoint_matvecs: int  # Hessian products of the adjoint solves
     trial_solves: int  # inner solves the line search ran, failed ones included
     model_cg_iters: int  # Gauss-Newton model products, summed over the outer steps
+    model_matvecs: int  # Hessian products of the model's S solves, part of adjoint_matvecs
     objective_trace: tuple[float, ...]
     stationarity: float
     status: str  # "converged" | "max_outer" | "stalled"
@@ -235,34 +238,41 @@ class SolutionOperator:
         return self.report(f, warm, tol).u_star
 
 
+def _linearize(u: GridFunction, mu: WeightField, e: Exponents) -> _Linearization:
+    """The stencil record of the Hessian at the state u."""
+    return _linearization(_diffs(u.values, u.grid.h), mu.per_axis, e, u.grid.h)
+
+
 def _hessian_solve(
-    u: GridFunction,
+    lin: _Linearization,
     rhs: GridFunction,
-    mu: WeightField,
     e: Exponents,
     cfg: ControlConfig,
     psi: SolutionOperator | None = None,
+    tol: float | None = None,
 ) -> GridFunction:
-    """Solve H(u) w = rhs by Jacobi-preconditioned CG; CGBreakdownError unless it converges.
+    """Solve H w = rhs over the record lin by Jacobi-preconditioned CG.
 
-    Each Hessian product is added to psi.adjoint_matvecs when psi is given.
+    Runs to the relative residual tol, by default cfg.cg_tol, and raises
+    CGBreakdownError unless it gets there.  Each Hessian product is added
+    to psi.adjoint_matvecs when psi is given.
     """
-    grid = u.grid
+    grid = rhs.grid
+    tol = cfg.cg_tol if tol is None else tol
     cg_max = cfg.cg_max if cfg.cg_max > 0 else 10 * grid.n_nodes
-    coeffs = _linearization(_diffs(u.values, grid.h), mu.per_axis, e)
-    diag = _jacobi_diagonal(coeffs, grid.h)
+    diag = _jacobi_diagonal(lin)
 
     def apply_h(values: np.ndarray) -> np.ndarray:
         # Checked per product: a zero rhs makes none and still returns zeros.
-        _check_nonsingular(coeffs, e)
+        _check_nonsingular(lin.coeffs, e)
         if psi is not None:
             psi.adjoint_matvecs += 1
-        return _hessian_product(coeffs, values, grid.h)
+        return _hessian_product(lin, values)
 
     solution, reason = _cg(
         apply_h,
         np.asarray(rhs.values),
-        cfg.cg_tol,
+        tol,
         cg_max,
         inv_diag=None if diag is None else 1.0 / diag,
     )
@@ -273,7 +283,7 @@ def _hessian_solve(
         )
     if reason == "max_iters":
         raise CGBreakdownError(
-            f"conjugate gradients did not reach tol={cfg.cg_tol:.1e} within {cg_max} iterations"
+            f"conjugate gradients did not reach tol={tol:.1e} within {cg_max} iterations"
         )
     return GridFunction(grid, solution)
 
@@ -288,7 +298,7 @@ def gateaux_derivative(
 ) -> GridFunction:
     """Directional derivative of psi at f along h: solve H(psi(f)) w = h."""
     psi = cache or SolutionOperator(mu, e, cfg.inner)
-    return _hessian_solve(psi(f), h, mu, e, cfg, psi)
+    return _hessian_solve(_linearize(psi(f), mu, e), h, e, cfg, psi)
 
 
 def reduced_gradient(
@@ -302,13 +312,17 @@ def reduced_gradient(
     """Adjoint gradient of f -> obj.evaluate(f, psi(f)): one hessian solve."""
     psi = cache or SolutionOperator(mu, e, cfg.inner)
     u = psi(f)
-    lam = _hessian_solve(u, obj.grad_u(f, u), mu, e, cfg, psi)
+    lam = _hessian_solve(_linearize(u, mu, e), obj.grad_u(f, u), e, cfg, psi)
     return obj.grad_f(f, u) + lam
 
 
 #: A trial f - t*d is solved to inner tolerance min(inner.tol_grad,
 #: _KAPPA * max|t*d|): loose for long steps, tight near the optimum.
 _KAPPA = 0.1
+
+#: The model's S solves run to max(cg_tol, _S_FRACTION * the model CG's
+#: relative tolerance): no tighter than the model needs.
+_S_FRACTION = 0.1
 
 
 def _gauss_newton_direction(
@@ -326,21 +340,24 @@ def _gauss_newton_direction(
     M is the Gauss-Newton model at the state u = psi(f) (see the module
     docstring).  CG stops at the relative residual min(0.5, sqrt|g|_2), after
     n_nodes products, or at the first direction of non-positive curvature,
-    which hands back g itself when it is the first one.
+    which hands back g itself when it is the first one.  Every S solve
+    shares one stencil record of u and runs to max(cg_tol, _S_FRACTION * tol).
     """
     grid = f.grid
     gu0, gf0 = obj.grad_u(f, u), obj.grad_f(f, u)
+    lin = _linearize(u, mu, e)
+    tol = min(0.5, math.sqrt(math.sqrt(_dot(g.values, g.values))))
+    s_tol = max(cfg.cg_tol, _S_FRACTION * tol)
     products = 0
 
     def apply_m(values: np.ndarray) -> np.ndarray:
         nonlocal products
         products += 1
         w = GridFunction(grid, values)
-        sw = _hessian_solve(u, w, mu, e, cfg, psi)
-        ssw = _hessian_solve(u, obj.grad_u(f, u + sw) - gu0, mu, e, cfg, psi)
+        sw = _hessian_solve(lin, w, e, cfg, psi, s_tol)
+        ssw = _hessian_solve(lin, obj.grad_u(f, u + sw) - gu0, e, cfg, psi, s_tol)
         return (ssw + (obj.grad_f(f + w, u) - gf0)).values
 
-    tol = min(0.5, math.sqrt(math.sqrt(_dot(g.values, g.values))))
     d, _ = _cg(apply_m, g.values, tol, grid.n_nodes)
     return d, products
 
@@ -377,6 +394,7 @@ def optimize_control(
     status = "max_outer"
     outer = 0
     model_cg_iters = 0
+    model_matvecs = 0
 
     for _ in range(cfg.max_outer):
         stationarity = float(np.max(np.abs(g.values)))
@@ -384,8 +402,10 @@ def optimize_control(
             status = "converged"
             break
 
+        before = psi.adjoint_matvecs
         d, products = _gauss_newton_direction(f, u, g, obj, mu, e, cfg, psi)
         model_cg_iters += products
+        model_matvecs += psi.adjoint_matvecs - before
         slope = _dot(g.values, d)
         if not slope > 0.0:
             d, slope = g.values, _dot(g.values, g.values)
@@ -427,6 +447,7 @@ def optimize_control(
         # Every solve but the cold one at f0 was a line-search trial.
         trial_solves=psi.solves - 1,
         model_cg_iters=model_cg_iters,
+        model_matvecs=model_matvecs,
         objective_trace=tuple(trace),
         stationarity=stationarity,
         status=status,

@@ -475,34 +475,55 @@ def _hessian_coeff(g: np.ndarray, mu_axis: np.ndarray, e: Exponents) -> np.ndarr
     return coeff + mu_axis * s2 ** ((e.q - 4.0) / 2.0) * ((e.q - 1.0) * g2 + eps2)
 
 
-def _linearization(
-    diffs: list[np.ndarray], mu_axes: tuple[np.ndarray, ...], e: Exponents
-) -> list[np.ndarray]:
-    """Per-axis Hessian coefficients at a state, built once from its edge differences."""
-    return [_hessian_coeff(g, mu_axes[axis], e) for axis, g in enumerate(diffs)]
+@dataclass(frozen=True)
+class _Linearization:
+    """The Hessian of the power terms at one state, as a 5-point stencil.
 
-
-def _jacobi_diagonal(coeffs: list[np.ndarray], h: float) -> np.ndarray | None:
-    """Diagonal of _hessian_product over the coefficients of _linearization.
-
-    Entry k is hessian_apply(u, e_k)[k] bit for bit: per axis, the two edge
-    coefficients next to node k times 1/h, added and divided by h.  None
-    unless every entry is a normal positive float, so its inverse is finite:
-    an entry vanishes only at eps_reg = 0, where every coefficient around a
-    node does.
+    coeffs[i] holds the axis-i edge coefficients (_hessian_coeff).  Per
+    node, diag is the sum over axes of the two edge coefficients around it
+    over h^2; legs holds per axis (off, lo, hi, scratch), where off is the
+    interior edge coefficients over h^2 and lo/hi slice a nodal array to its
+    lower and upper neighbour along that axis.  The boundary edges couple
+    to the Dirichlet zeros and only enter diag.
     """
-    inv_h = 1.0 / h
+
+    coeffs: tuple[np.ndarray, ...]
+    diag: np.ndarray
+    legs: tuple[tuple[np.ndarray, tuple[slice, ...], tuple[slice, ...], np.ndarray], ...]
+
+
+def _linearization(
+    diffs: list[np.ndarray], mu_axes: tuple[np.ndarray, ...], e: Exponents, h: float
+) -> _Linearization:
+    """The stencil record at a state, built once from its edge differences."""
+    coeffs = tuple(_hessian_coeff(g, mu_axes[axis], e) for axis, g in enumerate(diffs))
+    inv_h2 = 1.0 / (h * h)
     diag = 0.0
+    legs = []
     for axis, c in enumerate(coeffs):
-        scaled = (c * inv_h).swapaxes(0, axis)
-        diag = diag + ((scaled[:-1] + scaled[1:]) / h).swapaxes(0, axis)
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        scaled = c * inv_h2
+        diag = diag + (scaled[lo] + scaled[hi])
+        off = scaled[hi][lo]
+        legs.append((off, lo, hi, np.empty(off.shape)))
+    return _Linearization(coeffs, diag, tuple(legs))
+
+
+def _jacobi_diagonal(lin: _Linearization) -> np.ndarray | None:
+    """The stencil's diagonal, which is hessian_apply(u, e_k)[k] by construction.
+
+    None unless every entry is a normal positive float, so its inverse is
+    finite: an entry vanishes only at eps_reg = 0, where every coefficient
+    around a node does.
+    """
     normal = np.finfo(float)
-    if not np.all((diag >= normal.tiny) & (diag <= normal.max)):
+    if not np.all((lin.diag >= normal.tiny) & (lin.diag <= normal.max)):
         return None
-    return diag
+    return lin.diag
 
 
-def _check_nonsingular(coeffs: list[np.ndarray], e: Exponents) -> None:
+def _check_nonsingular(coeffs: tuple[np.ndarray, ...], e: Exponents) -> None:
     """Raise SingularLinearizationError if a coefficient vanishes with eps_reg = 0."""
     if e.eps_reg == 0.0 and any(np.any(c == 0.0) for c in coeffs):
         raise SingularLinearizationError(
@@ -511,9 +532,19 @@ def _check_nonsingular(coeffs: list[np.ndarray], e: Exponents) -> None:
         )
 
 
-def _hessian_product(coeffs: list[np.ndarray], w: np.ndarray, h: float) -> np.ndarray:
-    """sum_i neg_div_i(a_i * d_i w): the product of hessian_apply, Newton and the adjoint."""
-    return _neg_div_sum([c * _diff(w, axis, h) for axis, c in enumerate(coeffs)], h)
+def _hessian_product(lin: _Linearization, w: np.ndarray) -> np.ndarray:
+    """diag*w minus the neighbour couplings: the product of hessian_apply, Newton and the adjoint.
+
+    Equal to sum_i neg_div_i(a_i * d_i w) up to rounding; returns a fresh array.
+    """
+    out = lin.diag * w
+    for off, lo, hi, tmp in lin.legs:
+        below, above = out[lo], out[hi]
+        np.multiply(off, w[hi], out=tmp)
+        np.subtract(below, tmp, out=below)
+        np.multiply(off, w[lo], out=tmp)
+        np.subtract(above, tmp, out=above)
+    return out
 
 
 def hessian_apply(
@@ -528,7 +559,8 @@ def hessian_apply(
           + mu pi(g)^(q-4) ((q-1) g^2 + eps^2),
 
     which reduces to (p-1)|g|^(p-2) + mu (q-1)|g|^(q-2) at eps = 0.  The
-    result is sum_i neg_div_i(a_i * d_i w): symmetric in the quadrature
+    result is sum_i neg_div_i(a_i * d_i w), applied as the 5-point stencil
+    that Newton and the adjoint solves use: symmetric in the quadrature
     pairing and positive semidefinite, positive definite when every
     coefficient is positive.  Raises SingularLinearizationError when a
     coefficient vanishes with eps_reg = 0.
@@ -536,9 +568,9 @@ def hessian_apply(
     _check_problem(u, mu, e)
     _check_same_grid(u.grid, w)
     h = u.grid.h
-    coeffs = _linearization(_diffs(u.values, h), mu.per_axis, e)
-    _check_nonsingular(coeffs, e)
-    return GridFunction(u.grid, _hessian_product(coeffs, w.values, h))
+    lin = _linearization(_diffs(u.values, h), mu.per_axis, e, h)
+    _check_nonsingular(lin.coeffs, e)
+    return GridFunction(u.grid, _hessian_product(lin, w.values))
 
 
 def _raw_energy_decrease(
@@ -578,6 +610,6 @@ def _raw_energy_decrease(
                 s2t = gt * gt
                 dp = np.where(zero, s2t ** (p / 2.0), dp)
                 dq = np.where(zero, s2t ** (q / 2.0), dq)
-        total += float(np.sum(dp)) * cell / p
-        total += float(np.sum(mu_axes[axis] * dq)) * cell / q
+        total += float(np.add.reduce(dp, axis=None)) * cell / p
+        total += float(np.add.reduce(mu_axes[axis] * dq, axis=None)) * cell / q
     return total

@@ -86,31 +86,34 @@ def _cg(
     run out.  On "curvature" x is the iterate before that direction, or b
     itself when the first direction already failed.
     """
-    x = np.zeros_like(b)
+    x = np.zeros(b.shape)
     b_norm = math.sqrt(_dot(b, b))
     if b_norm == 0.0:
         return x, "converged"
-    r = b.copy()
+    r = b.astype(float)
     z = r if inv_diag is None else r * inv_diag
     p = z.copy()
     rz = _dot(r, z)
     for k in range(max_iters):
         Ap = apply_A(p)
         pAp = _dot(p, Ap)
-        if pAp <= curvature_floor * _dot(p, p):
+        # 0.0 * p.p is 0: without a floor, p.p is not needed.
+        if pAp <= (curvature_floor * _dot(p, p) if curvature_floor else 0.0):
             return (b if k == 0 else x), "curvature"
         alpha = rz / pAp
-        x = x + alpha * p
-        r = r - alpha * Ap
+        x += alpha * p
+        r -= alpha * Ap
         rr = _dot(r, r)
         if math.sqrt(rr) <= tol * b_norm:
             return x, "converged"
         if inv_diag is None:
             z, rz_new = r, rr
         else:
-            z = r * inv_diag
+            np.multiply(r, inv_diag, out=z)
             rz_new = _dot(r, z)
-        p = z + (rz_new / rz) * p
+        # p*beta + z rounds as z + beta*p.
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     return x, "max_iters"
 
@@ -250,27 +253,27 @@ def solve_inner(
             status = "converged"
             break
 
-        g_norm = float(np.sqrt(np.sum(g * g)))
+        g_norm = math.sqrt(_dot(g, g))
         if prev_norm is not None:
             eta = _forcing_term(eta, g_norm, prev_norm, cfg.tol_grad)
         prev_norm = g_norm
-        coeffs = _linearization(diffs, mu_axes, e)
-        floor = _CURVATURE_FLOOR * gershgorin * max(float(np.max(c)) for c in coeffs)
+        lin = _linearization(diffs, mu_axes, e, h)
+        floor = _CURVATURE_FLOOR * gershgorin * max(float(np.max(c)) for c in lin.coeffs)
 
         def apply_h(w: np.ndarray) -> np.ndarray:
             nonlocal matvecs
             matvecs += 1
-            return _hessian_product(coeffs, w, h)
+            return _hessian_product(lin, w)
 
-        diag = _jacobi_diagonal(coeffs, h)
+        diag = _jacobi_diagonal(lin)
         d, _ = _cg(apply_h, g, eta, vals.size, floor, None if diag is None else 1.0 / diag)
-        slope = float(np.sum(g * d))
+        slope = _dot(g, d)
         if not slope > 0.0:
             # Round-off can tip a long CG iterate off descent; the Armijo
             # test needs a positive slope to certify a decrease.
-            d, slope = g, float(np.sum(g * g))
+            d, slope = g, _dot(g, g)
         dir_diffs = _diffs(d, h)
-        f_dot_dir = cell * float(np.sum(f_vals * d))
+        f_dot_dir = cell * _dot(f_vals, d)
 
         def trial(t: float) -> tuple[float, None]:
             dj = _raw_energy_decrease(diffs, dir_diffs, f_dot_dir, mu_axes, p, q, eps2, cell, t)

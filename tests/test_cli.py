@@ -517,11 +517,12 @@ def test_control_report_counts_its_products_byte_stably(tmp_path):
     keys = [line.partition(" = ")[0] for line in reports[0].decode("ascii").splitlines()]
     at = keys.index("outer_iters")
     assert keys[at + 1 : at + 3] == ["matvecs", "adjoint_matvecs"]
-    assert keys[at + 3 : at + 5] == ["trial_solves", "model_cg_iters"]
+    assert keys[at + 3 : at + 6] == ["trial_solves", "model_cg_iters", "model_matvecs"]
     rec = _read_record(tmp_path / "a" / "report.txt")
     assert int(rec["matvecs"]) > 0 and int(rec["adjoint_matvecs"]) > 0
     assert int(rec["trial_solves"]) >= int(rec["outer_iters"])
     assert int(rec["model_cg_iters"]) >= int(rec["outer_iters"])
+    assert int(rec["model_cg_iters"]) <= int(rec["model_matvecs"]) < int(rec["adjoint_matvecs"])
 
 
 def test_control_with_a_vanishing_ramp_weight_converges(tmp_path):

@@ -1,6 +1,7 @@
 """Solution operator, reduced gradient, and outer-loop control tests."""
 
 import importlib
+import math
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,7 @@ from pseudophase import (
     validate_exponents,
 )
 from pseudophase import control, solver
-from pseudophase.control import _hessian_solve
+from pseudophase.control import _hessian_solve, _linearize
 from pseudophase.grid import inner_product
 from pseudophase.solver import _cg
 
@@ -206,9 +207,9 @@ def test_cg_guard_raises_on_negative_curvature(monkeypatch):
     mu = WeightField.constant(g, 1.0)
     u = GridFunction(g, np.sin(np.pi * g.node_coords()[0]))
     real = control._hessian_product
-    monkeypatch.setattr(control, "_hessian_product", lambda c, w, h: -real(c, w, h))
+    monkeypatch.setattr(control, "_hessian_product", lambda lin, w: -real(lin, w))
     with pytest.raises(CGBreakdownError, match="curvature"):
-        _hessian_solve(u, GridFunction.full(g, 1.0), mu, TWO_PHASE, _cfg())
+        _hessian_solve(_linearize(u, mu, TWO_PHASE), GridFunction.full(g, 1.0), TWO_PHASE, _cfg())
 
 
 def test_cg_raises_when_iterations_run_out():
@@ -222,7 +223,7 @@ def test_cg_raises_when_iterations_run_out():
     u = GridFunction(g, np.sin(np.pi * g.node_coords()[0]))
     rhs = GridFunction(g, np.arange(1.0, 9.0))
     with pytest.raises(CGBreakdownError, match="did not reach"):
-        _hessian_solve(u, rhs, mu, TWO_PHASE, _cfg(cg_tol=1e-14, cg_max=2))
+        _hessian_solve(_linearize(u, mu, TWO_PHASE), rhs, TWO_PHASE, _cfg(cg_tol=1e-14, cg_max=2))
 
 
 def _indicator_diagonal(u, mu, e):
@@ -277,10 +278,10 @@ def test_adjoint_solve_equals_the_hessian_apply_reference(n, m, pq, eps_reg, wei
     expected, reason, products = _reference_hessian_solve(u, rhs, mu, e, cfg)
     with mock.patch.object(control, "_hessian_product", wraps=control._hessian_product) as spy:
         if reason == "converged":
-            assert np.array_equal(_hessian_solve(u, rhs, mu, e, cfg).values, expected)
+            assert np.array_equal(_hessian_solve(_linearize(u, mu, e), rhs, e, cfg).values, expected)
         else:
             with pytest.raises(CGBreakdownError):
-                _hessian_solve(u, rhs, mu, e, cfg)
+                _hessian_solve(_linearize(u, mu, e), rhs, e, cfg)
     assert spy.call_count == products
 
 
@@ -297,7 +298,7 @@ def test_one_adjoint_solve_builds_the_linearization_once(monkeypatch):
     )
     spy = mock.Mock(wraps=control._hessian_product)
     monkeypatch.setattr(control, "_hessian_product", spy)
-    _hessian_solve(u, GridFunction.full(g, 1.0), mu, e, _cfg())
+    _hessian_solve(_linearize(u, mu, e), GridFunction.full(g, 1.0), e, _cfg())
     assert spy.call_count > g.n
     assert len(built) == g.n
 
@@ -308,9 +309,9 @@ def test_singular_linearization_raises_only_when_cg_needs_a_product():
     e = Exponents(3.0, 2.0, 1, 0.0)
     zero = GridFunction.zeros(g)
     # Every coefficient vanishes at u = 0; a zero rhs makes no product.
-    assert not _hessian_solve(zero, zero, mu, e, _cfg()).values.any()
+    assert not _hessian_solve(_linearize(zero, mu, e), zero, e, _cfg()).values.any()
     with pytest.raises(SingularLinearizationError, match="eps_reg = 0"):
-        _hessian_solve(zero, GridFunction.full(g, 1.0), mu, e, _cfg())
+        _hessian_solve(_linearize(zero, mu, e), GridFunction.full(g, 1.0), e, _cfg())
 
 
 def test_reduced_gradient_without_state_coupling_is_grad_f():
@@ -552,6 +553,17 @@ def test_control_report_counts_every_newton_and_adjoint_product(
     monkeypatch.setattr(control, "_hessian_product", spy)
     solves = mock.Mock(wraps=control._hessian_solve)
     monkeypatch.setattr(control, "_hessian_solve", solves)
+    real_direction = control._gauss_newton_direction
+    model_products = []
+
+    def direction(*args):
+        psi = args[-1]
+        before = psi.adjoint_matvecs
+        out = real_direction(*args)
+        model_products.append(psi.adjoint_matvecs - before)
+        return out
+
+    monkeypatch.setattr(control, "_gauss_newton_direction", direction)
     rep = optimize_control(obj, GridFunction.zeros(g), mu, e, cfg)
     assert rep.outer_iters >= 1
     assert rep.converged == (inner_iters > 4)
@@ -564,6 +576,69 @@ def test_control_report_counts_every_newton_and_adjoint_product(
     # One adjoint solve per accepted iterate and two per model product.
     assert solves.call_count == 1 + rep.outer_iters + 2 * rep.model_cg_iters
     assert rep.model_cg_iters >= rep.outer_iters
+    # The model's S solves are a part of the adjoint products.
+    assert rep.model_matvecs == sum(model_products)
+    assert rep.model_cg_iters <= rep.model_matvecs < rep.adjoint_matvecs
+
+
+def _tracking_case():
+    """2-D m = 5 strict tracking problem whose outer loop takes a few steps."""
+    g = Grid(2, 5)
+    mu = WeightField.constant(g, 0.5)
+    e = Exponents(4.0, 4.0 / 3.0, 2, 1e-4)
+    x, y = np.meshgrid(*g.node_coords(), indexing="ij")
+    u_d = SolutionOperator(mu, e, _tight_inner())(GridFunction(g, 20.0 * np.sin(np.pi * x) * y))
+    cfg = ControlConfig(inner=SolverConfig(tol_grad=1e-9), tol_reduced=1e-6, alpha=1e-4)
+    return tracking_objective(u_d, 1e-4), g, mu, e, cfg
+
+
+def test_model_s_solves_run_at_a_fraction_of_the_model_tolerance(monkeypatch):
+    obj, g, mu, e, cfg = _tracking_case()
+    real = control._cg
+    calls = []  # [tol, rhs norm, tolerances of the calls nested in this one]
+    depth = []
+
+    def spy(apply_A, b, tol, *args, **kwargs):
+        record = [tol, math.sqrt(float(np.sum(b * b))), []]
+        (calls[-1][2] if depth else calls).append(record)
+        depth.append(1)
+        try:
+            return real(apply_A, b, tol, *args, **kwargs)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(control, "_cg", spy)
+    rep = optimize_control(obj, GridFunction.zeros(g), mu, e, cfg)
+    assert rep.converged and rep.outer_iters >= 1
+    models = [c for c in calls if c[2]]
+    adjoints = [c for c in calls if not c[2]]
+    assert len(models) == rep.outer_iters
+    # One gradient adjoint per accepted iterate, at cg_tol.
+    assert len(adjoints) == 1 + rep.outer_iters
+    assert all(tol == cfg.cg_tol for tol, _, _ in adjoints)
+    for tol, g_norm, nested in models:
+        assert tol == min(0.5, math.sqrt(g_norm))
+        # Two S solves per model product.
+        assert len(nested) >= 2 and len(nested) % 2 == 0
+        assert all(s_tol == max(cfg.cg_tol, 0.1 * tol) for s_tol, _, _ in nested)
+        assert all(s_tol > cfg.cg_tol for s_tol, _, _ in nested)
+
+
+def test_gauss_newton_direction_builds_one_record_per_state(monkeypatch):
+    obj, g, mu, e, cfg = _tracking_case()
+    psi = SolutionOperator(mu, e, cfg.inner)
+    f = GridFunction.zeros(g)
+    u = psi(f)
+    grad = reduced_gradient(f, obj, mu, e, cfg, cache=psi)
+    real = control._linearization
+    built = []
+    monkeypatch.setattr(control, "_linearization", lambda *args: built.append(real(*args)) or built[-1])
+    solves = mock.Mock(wraps=control._hessian_solve)
+    monkeypatch.setattr(control, "_hessian_solve", solves)
+    _, products = control._gauss_newton_direction(f, u, grad, obj, mu, e, cfg, psi)
+    assert len(built) == 1
+    assert solves.call_count == 2 * products > 0
+    assert all(call.args[0] is built[0] for call in solves.call_args_list)
 
 
 def test_control_config_validation():

@@ -1,6 +1,7 @@
 """Descent solver and weak-form certificate tests."""
 
 import importlib
+import math
 import warnings
 
 import numpy as np
@@ -326,6 +327,69 @@ def test_cg_with_the_frozen_curvature_cases_and_a_unit_diagonal():
     assert reason == "curvature" and np.array_equal(x, np.ones(4))
 
 
+def _frozen_jacobi_cg(apply_A, b, tol, max_iters, curvature_floor, inv_diag):
+    """Jacobi-preconditioned _cg as it was with fresh arrays per update, kept as the oracle."""
+    x = np.zeros_like(b)
+    b_norm = float(np.sqrt(np.sum(b * b)))
+    if b_norm == 0.0:
+        return x, "converged"
+    r = b.copy()
+    z = r * inv_diag
+    p = z.copy()
+    rz = float(np.sum(r * z))
+    for k in range(max_iters):
+        Ap = apply_A(p)
+        pAp = float(np.sum(p * Ap))
+        if pAp <= curvature_floor * float(np.sum(p * p)):
+            return (b if k == 0 else x), "curvature"
+        alpha = rz / pAp
+        x = x + alpha * p
+        r = r - alpha * Ap
+        rr = float(np.sum(r * r))
+        if np.sqrt(rr) <= tol * b_norm:
+            return x, "converged"
+        z = r * inv_diag
+        rz_new = float(np.sum(r * z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, "max_iters"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["spd", "indefinite", "near-null"]),
+    size=st.integers(1, 24),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from([1e-2, 1e-6, 1e-12]),
+    max_iters=st.integers(1, 40),
+    floor=st.sampled_from([0.0, 1e-12]),
+)
+def test_jacobi_cg_repeats_the_frozen_iterates(kind, size, seed, tol, max_iters, floor):
+    # In-place updates and the p.p skipped without a floor change no rounding.
+    A, b = _cg_case(kind, size, seed)
+    inv_diag = 10.0 ** np.random.default_rng(seed).uniform(-2.0, 2.0, size)
+    expected, why = _frozen_jacobi_cg(lambda v: A @ v, b, tol, max_iters, floor, inv_diag)
+    x, reason = _cg(lambda v: A @ v, b, tol, max_iters, floor, inv_diag)
+    assert reason == why
+    assert np.array_equal(x, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from([(1,), (8,), (64,), (7, 7), (8, 7), (63, 64)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cheaper_reductions_equal_the_np_sum_expressions(shape, seed):
+    # solve_inner and _raw_energy_decrease replaced these np.sum forms.
+    rng = np.random.default_rng(seed)
+    a = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal(shape)
+    b = rng.standard_normal(shape)
+    assert solver_module._dot(a, b) == float(np.sum(a * b))
+    assert math.sqrt(solver_module._dot(a, a)) == float(np.sqrt(np.sum(a * a)))
+    assert float(np.add.reduce(a, axis=None)) == float(np.sum(a))
+    assert float(np.add.reduce(b * a, axis=None)) == float(np.sum(b * a))
+
+
 def test_jacobi_cg_stops_on_the_unpreconditioned_residual():
     # A badly scaled SPD matrix D K D: Jacobi undoes D, plain CG cannot.
     rng = np.random.default_rng(3)
@@ -365,7 +429,7 @@ def test_jacobi_and_plain_newton_agree_to_the_tolerance(monkeypatch):
     f, mu, e = _ramp_sine_problem(31)
     cfg = SolverConfig(tol_grad=1e-8)
     jacobi = solve_inner(f, mu, e, cfg)
-    monkeypatch.setattr(solver_module, "_jacobi_diagonal", lambda coeffs, h: None)
+    monkeypatch.setattr(solver_module, "_jacobi_diagonal", lambda lin: None)
     plain = solve_inner(f, mu, e, cfg)
     assert jacobi.converged and plain.converged
     assert plain.matvecs > 10 * jacobi.matvecs
