@@ -310,10 +310,22 @@ def reduced_gradient(
     cache: SolutionOperator | None = None,
 ) -> GridFunction:
     """Adjoint gradient of f -> obj.evaluate(f, psi(f)): one hessian solve."""
-    psi = cache or SolutionOperator(mu, e, cfg.inner)
+    return _reduced_gradient(f, obj, mu, e, cfg, cache or SolutionOperator(mu, e, cfg.inner))[0]
+
+
+def _reduced_gradient(
+    f: GridFunction,
+    obj: Objective,
+    mu: WeightField,
+    e: Exponents,
+    cfg: ControlConfig,
+    psi: SolutionOperator,
+) -> tuple[GridFunction, _Linearization]:
+    """reduced_gradient over psi, and the stencil record of its state psi(f)."""
     u = psi(f)
-    lam = _hessian_solve(_linearize(u, mu, e), obj.grad_u(f, u), e, cfg, psi)
-    return obj.grad_f(f, u) + lam
+    lin = _linearize(u, mu, e)
+    lam = _hessian_solve(lin, obj.grad_u(f, u), e, cfg, psi)
+    return obj.grad_f(f, u) + lam, lin
 
 
 #: A trial f - t*d is solved to inner tolerance min(inner.tol_grad,
@@ -333,6 +345,7 @@ def _gauss_newton_direction(
     mu: WeightField,
     e: Exponents,
     cfg: ControlConfig,
+    lin: _Linearization,
     psi: SolutionOperator,
 ) -> tuple[np.ndarray, int]:
     """Truncated CG on M d = g from d = 0; returns (d, products of M).
@@ -340,12 +353,11 @@ def _gauss_newton_direction(
     M is the Gauss-Newton model at the state u = psi(f) (see the module
     docstring).  CG stops at the relative residual min(0.5, sqrt|g|_2), after
     n_nodes products, or at the first direction of non-positive curvature,
-    which hands back g itself when it is the first one.  Every S solve
-    shares one stencil record of u and runs to max(cg_tol, _S_FRACTION * tol).
+    which hands back g itself when it is the first one.  Every S solve runs
+    over lin, the stencil record of u, to max(cg_tol, _S_FRACTION * tol).
     """
     grid = f.grid
     gu0, gf0 = obj.grad_u(f, u), obj.grad_f(f, u)
-    lin = _linearize(u, mu, e)
     tol = min(0.5, math.sqrt(math.sqrt(_dot(g.values, g.values))))
     s_tol = max(cfg.cg_tol, _S_FRACTION * tol)
     products = 0
@@ -388,7 +400,7 @@ def optimize_control(
     f = f0
     u = psi(f)
     j_val = obj.evaluate(f, u)
-    g = reduced_gradient(f, obj, mu, e, cfg, cache=psi)
+    g, lin = _reduced_gradient(f, obj, mu, e, cfg, psi)
     trace = [j_val]
     cell = grid.h**grid.n
     status = "max_outer"
@@ -403,7 +415,7 @@ def optimize_control(
             break
 
         before = psi.adjoint_matvecs
-        d, products = _gauss_newton_direction(f, u, g, obj, mu, e, cfg, psi)
+        d, products = _gauss_newton_direction(f, u, g, obj, mu, e, cfg, lin, psi)
         model_cg_iters += products
         model_matvecs += psi.adjoint_matvecs - before
         slope = _dot(g.values, d)
@@ -430,7 +442,8 @@ def optimize_control(
             break
         _, j_trial, (f_trial, u_trial) = accepted
 
-        g = reduced_gradient(f_trial, obj, mu, e, cfg, cache=psi)
+        # The accepted trial was the last solve: psi replays u_trial, so lin is its record.
+        g, lin = _reduced_gradient(f_trial, obj, mu, e, cfg, psi)
         f, u, j_val = f_trial, u_trial, j_trial
         trace.append(j_val)
         outer += 1

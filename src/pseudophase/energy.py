@@ -481,15 +481,16 @@ class _Linearization:
 
     coeffs[i] holds the axis-i edge coefficients (_hessian_coeff).  Per
     node, diag is the sum over axes of the two edge coefficients around it
-    over h^2; legs holds per axis (off, lo, hi, scratch), where off is the
-    interior edge coefficients over h^2 and lo/hi slice a nodal array to its
-    lower and upper neighbour along that axis.  The boundary edges couple
-    to the Dirichlet zeros and only enter diag.
+    over h^2; the boundary edges couple to the Dirichlet zeros and only
+    enter diag.  legs holds per axis (off, s, tmp) over the nodes in C
+    order: off[k] couples node k to node k + s over h^2 (s = m for axis 0
+    in 2-D, else 1), 0.0 where that pair crosses a row end, and tmp is a
+    view of the one scratch buffer.
     """
 
     coeffs: tuple[np.ndarray, ...]
     diag: np.ndarray
-    legs: tuple[tuple[np.ndarray, tuple[slice, ...], tuple[slice, ...], np.ndarray], ...]
+    legs: tuple[tuple[np.ndarray, int, np.ndarray], ...]
 
 
 def _linearization(
@@ -498,16 +499,19 @@ def _linearization(
     """The stencil record at a state, built once from its edge differences."""
     coeffs = tuple(_hessian_coeff(g, mu_axes[axis], e) for axis, g in enumerate(diffs))
     inv_h2 = 1.0 / (h * h)
-    diag = 0.0
-    legs = []
-    for axis, c in enumerate(coeffs):
-        lo = (slice(None),) * axis + (slice(None, -1),)
-        hi = (slice(None),) * axis + (slice(1, None),)
-        scaled = c * inv_h2
-        diag = diag + (scaled[lo] + scaled[hi])
-        off = scaled[hi][lo]
-        legs.append((off, lo, hi, np.empty(off.shape)))
-    return _Linearization(coeffs, diag, tuple(legs))
+    scaled = coeffs[0] * inv_h2
+    m = len(scaled) - 1
+    diag = scaled[:-1] + scaled[1:]
+    # Flat, the interior axis-0 edges already sit m nodes apart: a view.
+    legs = [(scaled[1:-1].ravel(), m ** (len(coeffs) - 1))]
+    if len(coeffs) == 2:
+        scaled = coeffs[1] * inv_h2
+        diag = diag + (scaled[:, :-1] + scaled[:, 1:])
+        off = scaled[:, 1:].ravel()
+        off[m - 1 :: m] = 0.0  # the right boundary edges: pairs across a row end
+        legs.append((off[:-1], 1))
+    scratch = np.empty(diag.size - 1)
+    return _Linearization(coeffs, diag, tuple((off, s, scratch[: off.size]) for off, s in legs))
 
 
 def _jacobi_diagonal(lin: _Linearization) -> np.ndarray | None:
@@ -535,15 +539,17 @@ def _check_nonsingular(coeffs: tuple[np.ndarray, ...], e: Exponents) -> None:
 def _hessian_product(lin: _Linearization, w: np.ndarray) -> np.ndarray:
     """diag*w minus the neighbour couplings: the product of hessian_apply, Newton and the adjoint.
 
-    Equal to sum_i neg_div_i(a_i * d_i w) up to rounding; returns a fresh array.
+    Equal to sum_i neg_div_i(a_i * d_i w) up to rounding; returns a fresh
+    array.  Per axis it makes two contiguous passes over the flat nodes; a
+    padded pair subtracts 0.0*w, which changes no value when w is finite
+    (a -0.0 can turn +0.0).
     """
-    out = lin.diag * w
-    for off, lo, hi, tmp in lin.legs:
-        below, above = out[lo], out[hi]
-        np.multiply(off, w[hi], out=tmp)
-        np.subtract(below, tmp, out=below)
-        np.multiply(off, w[lo], out=tmp)
-        np.subtract(above, tmp, out=above)
+    out = lin.diag * w  # C-ordered whatever w's layout, like diag
+    o, v = out.ravel(), w.ravel()
+    for off, s, tmp in lin.legs:
+        below, above = o[:-s], o[s:]
+        below -= np.multiply(off, v[s:], out=tmp)
+        above -= np.multiply(off, v[:-s], out=tmp)
     return out
 
 

@@ -20,7 +20,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -277,27 +277,30 @@ def _sobolev_norms(stack: np.ndarray, grid: Grid, p: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _rows(u: GridFunction) -> Iterator[tuple[tuple[float, ...], float]]:
-    grid = u.grid
-    coords = grid.node_coords()
-    if grid.n == 1:
-        for i, x in enumerate(coords[0]):
-            yield (x,), float(u.values[i])
-    else:
-        for i, x in enumerate(coords[0]):
-            for j, y in enumerate(coords[1]):
-                yield (x, y), float(u.values[i, j])
-
-
 def write_grid_function(u: GridFunction, path: str) -> None:
     """Write a nodal field as CSV with coordinates, deterministically."""
-    header = "x,value" if u.grid.n == 1 else "x,y,value"
-    lines = [header]
-    for point, value in _rows(u):
-        coord_part = ",".join(f"{c:.17g}" for c in point)
-        lines.append(f"{coord_part},{value:.17g}")
+    grid = u.grid
+    coords = [[f"{c:.17g}" for c in axis] for axis in grid.node_coords()]
+    points = coords[0] if grid.n == 1 else [f"{x},{y}" for x in coords[0] for y in coords[1]]
+    header = "x,value" if grid.n == 1 else "x,y,value"
+    # One line per node in C order; %.17g formats a float exactly as {:.17g} does.
+    template = header + "\n" + "".join(f"{p},%.17g\n" for p in points)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(template % tuple(u.values.reshape(-1).tolist()))
+
+
+def _row_error(path: str, raw: list[str], width: int, err: ValueError) -> ValueError:
+    """Name the first data line of the file that is not `width` numbers."""
+    rows = [(number, line.strip()) for number, line in enumerate(raw, 1) if line.strip()]
+    for number, line in rows[1:]:
+        tokens = line.split(",")
+        if len(tokens) != width:
+            return ValueError(f"{path}: line {number}: expected {width} fields, got {len(tokens)}")
+        try:
+            np.array(tokens, dtype=float)
+        except ValueError as bad:
+            return ValueError(f"{path}: line {number}: {bad}")
+    return ValueError(f"{path}: {err}")
 
 
 def read_grid_function(path: str, grid: Grid | None = None) -> GridFunction:
@@ -305,10 +308,12 @@ def read_grid_function(path: str, grid: Grid | None = None) -> GridFunction:
 
     The grid is inferred from the header and the row count, then checked
     against `grid` when one is supplied.  Coordinates must match the node
-    lattice of the inferred grid to 1e-12.
+    lattice of the inferred grid to 1e-12.  A row that is not n + 1 numbers
+    raises a ValueError naming its 1-based line.
     """
     with open(path, "r", encoding="ascii") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+        raw = fh.read().split("\n")
+    lines = [line for line in map(str.strip, raw) if line]
     if not lines:
         raise ValueError(f"{path}: empty grid-function file")
     header = lines[0]
@@ -318,9 +323,11 @@ def read_grid_function(path: str, grid: Grid | None = None) -> GridFunction:
         n = 2
     else:
         raise ValueError(f"{path}: unrecognized header {header!r}")
-    data = np.array(
-        [[float(tok) for tok in line.split(",")] for line in lines[1:]], dtype=float
-    )
+    try:
+        # numpy parses each token with float(), so the values are float()'s.
+        data = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    except ValueError as err:
+        raise _row_error(path, raw, n + 1, err) from None
     if data.ndim != 2 or data.shape[1] != n + 1:
         raise ValueError(f"{path}: malformed rows")
     count = data.shape[0]

@@ -587,6 +587,22 @@ def test_csv_weight_and_forcing_inputs(tmp_path):
     assert rec["converged"] == "true"
 
 
+def test_a_ragged_weight_file_exits_one_naming_its_line(tmp_path, capsys):
+    w_path = _write(tmp_path, "weight.csv", "x,value\n0.25,1\n0.5\n0.75,1\n")
+    cfg = _write(
+        tmp_path,
+        "run.cfg",
+        "command = solve\ngrid.n = 1\ngrid.m = 3\n"
+        "exponents.mode = relaxed\nexponents.q = 4/3\nexponents.p = 4\n"
+        f"weight.kind = csv\nweight.path = {w_path}\n",
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: weight: {w_path}: line 3: expected 2 fields, got 1\n"
+    assert not out.exists()
+
+
 def test_csv_weight_requires_an_existing_file(tmp_path):
     with pytest.raises(ConfigError, match="weight.path"):
         parse_config(

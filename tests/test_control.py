@@ -624,21 +624,49 @@ def test_model_s_solves_run_at_a_fraction_of_the_model_tolerance(monkeypatch):
         assert all(s_tol > cfg.cg_tol for s_tol, _, _ in nested)
 
 
-def test_gauss_newton_direction_builds_one_record_per_state(monkeypatch):
+def test_gauss_newton_direction_runs_every_s_solve_over_the_record_it_is_handed(monkeypatch):
     obj, g, mu, e, cfg = _tracking_case()
     psi = SolutionOperator(mu, e, cfg.inner)
     f = GridFunction.zeros(g)
     u = psi(f)
-    grad = reduced_gradient(f, obj, mu, e, cfg, cache=psi)
+    grad, lin = control._reduced_gradient(f, obj, mu, e, cfg, psi)
+    assert np.array_equal(grad.values, reduced_gradient(f, obj, mu, e, cfg, cache=psi).values)
     real = control._linearization
     built = []
     monkeypatch.setattr(control, "_linearization", lambda *args: built.append(real(*args)) or built[-1])
     solves = mock.Mock(wraps=control._hessian_solve)
     monkeypatch.setattr(control, "_hessian_solve", solves)
-    _, products = control._gauss_newton_direction(f, u, grad, obj, mu, e, cfg, psi)
-    assert len(built) == 1
+    _, products = control._gauss_newton_direction(f, u, grad, obj, mu, e, cfg, lin, psi)
+    assert not built
     assert solves.call_count == 2 * products > 0
-    assert all(call.args[0] is built[0] for call in solves.call_args_list)
+    assert all(call.args[0] is lin for call in solves.call_args_list)
+
+
+def test_optimize_control_builds_one_record_per_accepted_state(monkeypatch):
+    # The gradient at each accepted state hands its record to the next
+    # direction, which is taken at that very state: psi replays u_trial.
+    obj, g, mu, e, cfg = _tracking_case()
+    real_linearize = control._linearize
+    states = {}  # id(record) -> (the state it linearizes, the record)
+
+    def linearize(u, *args):
+        lin = real_linearize(u, *args)
+        states[id(lin)] = (u, lin)
+        return lin
+
+    monkeypatch.setattr(control, "_linearize", linearize)
+    real_direction = control._gauss_newton_direction
+    directions = []
+
+    def direction(f, u, grad, obj, mu, e, cfg, lin, psi):
+        directions.append(states[id(lin)][0] is u)
+        return real_direction(f, u, grad, obj, mu, e, cfg, lin, psi)
+
+    monkeypatch.setattr(control, "_gauss_newton_direction", direction)
+    rep = optimize_control(obj, GridFunction.zeros(g), mu, e, cfg)
+    assert rep.converged and rep.outer_iters >= 1
+    assert len(states) == 1 + rep.outer_iters
+    assert directions == [True] * rep.outer_iters
 
 
 def test_control_config_validation():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pseudophase import (
@@ -23,6 +23,7 @@ from pseudophase import (
     weak_residual,
 )
 from pseudophase.energy import (
+    _check_nonsingular,
     _hessian_product,
     _jacobi_diagonal,
     _linearization,
@@ -211,9 +212,10 @@ def _stencil_scale(lin, w):
     """|diag*w| + sum_i off_i*(|w_prev| + |w_next|): the size of the product's terms."""
     a = np.abs(w)
     scale = np.abs(lin.diag) * a
-    for off, lo, hi, _ in lin.legs:
-        scale[lo] += off * a[hi]
-        scale[hi] += off * a[lo]
+    flat, a = scale.ravel(), a.ravel()
+    for off, s, _ in lin.legs:
+        flat[:-s] += off * a[s:]
+        flat[s:] += off * a[:-s]
     return scale
 
 
@@ -262,6 +264,97 @@ def test_fused_product_equals_the_flux_composition_to_a_few_ulps(n, m, pq, eps_r
     # A fresh array each call, and the scratch buffers carry nothing over.
     again = _hessian_product(lin, w)
     assert again is not fused and np.array_equal(again, fused)
+
+
+def _slice_product(coeffs, h, w):
+    """The stencil product as it was, per axis over lo/hi slices of the nodal array.
+
+    A frozen copy of the record's construction (diag, off) and of its
+    product before the couplings were stored flat.
+    """
+    inv_h2 = 1.0 / (h * h)
+    diag = 0.0
+    legs = []
+    for axis, c in enumerate(coeffs):
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        scaled = c * inv_h2
+        diag = diag + (scaled[lo] + scaled[hi])
+        off = scaled[hi][lo]
+        legs.append((off, lo, hi, np.empty(off.shape)))
+    out = diag * w
+    for off, lo, hi, tmp in legs:
+        below, above = out[lo], out[hi]
+        np.multiply(off, w[hi], out=tmp)
+        np.subtract(below, tmp, out=below)
+        np.multiply(off, w[lo], out=tmp)
+        np.subtract(above, tmp, out=above)
+    return diag, out
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    m=st.integers(1, 12),
+    pq=st.sampled_from([(2.0, 2.0), (3.0, 2.0), (4.0, 4.0 / 3.0), (3.0, 1.5)]),
+    eps_reg=st.sampled_from([1e-4, 1e-8, 0.0]),
+    weight=st.sampled_from(["constant", "ramp"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_product_is_the_slice_product_bit_for_bit(n, m, pq, eps_reg, weight, seed):
+    # eps_reg = 0 is admitted only for exponents >= 2, and there the state
+    # has no vanishing difference, so every coefficient is positive.
+    assume(eps_reg > 0.0 or min(pq) >= 2.0)
+    g = Grid(n, m)
+    e = Exponents(pq[0], pq[1], n, eps_reg)
+    mu = WeightField.constant(g, 0.7) if weight == "constant" else WeightField.ramp(g, 2.0)
+    rng = np.random.default_rng(seed)
+    vals = 10.0 ** rng.uniform(-4.0, 1.0) * rng.standard_normal(g.shape)
+    if eps_reg > 0.0:
+        vals[rng.random(g.shape) < 0.3] = 0.0
+    w = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal(g.shape)
+    w[rng.random(g.shape) < 0.2] = 0.0
+    lin = _linearization(_diffs(vals, g.h), mu.per_axis, e, g.h)
+    _check_nonsingular(lin.coeffs, e)
+    diag, expected = _slice_product(lin.coeffs, g.h, w)
+    assert _same_bits(lin.diag, diag)
+    assert _same_bits(_hessian_product(lin, w), expected)
+    # The couplings are two flat diagonals; a pair across a row end is 0.0.
+    assert [s for _, s, _ in lin.legs] == ([1] if n == 1 else [m, 1])
+    if n == 2:
+        assert lin.legs[1][0].size == m * m - 1
+        assert not lin.legs[1][0][m - 1 :: m].any()
+
+
+def test_flat_product_reads_any_memory_layout():
+    g = Grid(2, 6)
+    u, _ = _random_problem(g, 31)
+    mu = WeightField.ramp(g, 2.0)
+    w = np.random.default_rng(32).standard_normal(g.shape)
+    expected = hessian_apply(u, GridFunction(g, w), mu, TWO_PHASE_2D).values
+    for layout in (np.asfortranarray(w), w.T.copy().T, np.repeat(w, 2, axis=1)[:, ::2]):
+        got = hessian_apply(u, GridFunction(g, layout), mu, TWO_PHASE_2D).values
+        assert _same_bits(got, expected)
+        lin = _linearization(_diffs(u.values, g.h), mu.per_axis, TWO_PHASE_2D, g.h)
+        assert _same_bits(_hessian_product(lin, layout), expected)
+
+
+def test_a_padded_pair_changes_only_the_sign_of_a_zero():
+    # Node (0, 1) ends a row.  Its pad subtracts 0.0 * w[1, 0] = -0.0 from
+    # the -0.0 it holds, which gives +0.0; the slice product never made
+    # that subtraction.  Every value still agrees.
+    g = Grid(2, 2)
+    mu = WeightField.constant(g, 0.5)
+    lin = _linearization(_diffs(np.ones(g.shape), g.h), mu.per_axis, TWO_PHASE_2D, g.h)
+    w = np.array([[0.0, -0.0], [-1.0, 0.0]])
+    got = _hessian_product(lin, w)
+    _, expected = _slice_product(lin.coeffs, g.h, w)
+    assert np.array_equal(got, expected)
+    assert np.signbit(expected[0, 1]) and not np.signbit(got[0, 1])
 
 
 def test_hessian_is_symmetric():

@@ -215,3 +215,79 @@ def test_read_grid_function_rejects_off_lattice_coords(tmp_path):
     path.write_text("x,value\n0.1,1.0\n0.9,2.0\n")
     with pytest.raises(ValueError):
         read_grid_function(str(path))
+
+
+def _per_row_csv(u):
+    """The CSV writer as it was, one formatted row at a time: the byte oracle."""
+    grid = u.grid
+    coords = grid.node_coords()
+    lines = ["x,value" if grid.n == 1 else "x,y,value"]
+    if grid.n == 1:
+        rows = [((x,), float(u.values[i])) for i, x in enumerate(coords[0])]
+    else:
+        rows = [
+            ((x, y), float(u.values[i, j]))
+            for i, x in enumerate(coords[0])
+            for j, y in enumerate(coords[1])
+        ]
+    for point, value in rows:
+        coord_part = ",".join(f"{c:.17g}" for c in point)
+        lines.append(f"{coord_part},{value:.17g}")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+_EDGE_VALUES = [
+    -0.0,
+    0.0,
+    5e-324,
+    -2.2250738585072014e-308 / 3.0,
+    1.7976931348623157e308,
+    -1.7976931348623157e308,
+    float("nan"),
+    float("inf"),
+    -float("inf"),
+    1.0 / 3.0,
+]
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 10), (1, 63), (2, 1), (2, 4), (2, 31)])
+def test_csv_writer_matches_the_per_row_writer_byte_for_byte(tmp_path, n, m):
+    g = Grid(n, m)
+    rng = np.random.default_rng(100 * n + m)
+    vals = rng.standard_normal(g.shape) * 10.0 ** rng.uniform(-300.0, 300.0, g.shape)
+    flat = vals.reshape(-1)
+    flat[: len(_EDGE_VALUES)] = _EDGE_VALUES[: flat.size]
+    for layout in (vals, np.asfortranarray(vals)):
+        u = GridFunction(g, layout)
+        path = tmp_path / "u.csv"
+        write_grid_function(u, str(path))
+        assert path.read_bytes() == _per_row_csv(u)
+
+
+def test_csv_reader_parses_every_token_as_float_does(tmp_path):
+    g = Grid(2, 3)
+    vals = np.array(
+        [[-0.0, 5e-324, 1.7976931348623157e308], [1.0 / 3.0, -1e-310, 2.0], [0.1, -7.0, 1e300]]
+    )
+    path = tmp_path / "u.csv"
+    write_grid_function(GridFunction(g, vals), str(path))
+    back = read_grid_function(str(path)).values
+    tokens = [line.split(",")[-1] for line in path.read_text().splitlines()[1:]]
+    expected = np.array([float(tok) for tok in tokens]).reshape(g.shape)
+    assert np.array_equal(back, expected) and np.array_equal(np.signbit(back), np.signbit(expected))
+
+
+def test_csv_reader_names_the_line_of_a_ragged_row(tmp_path):
+    path = tmp_path / "ragged.csv"
+    # Line 3 is blank and still counted; line 5 has one field too few.
+    path.write_text("x,y,value\n0.25,0.25,1\n\n0.25,0.5,2\n0.5,3\n0.5,0.5,4\n")
+    with pytest.raises(ValueError, match=r"ragged\.csv: line 5: expected 3 fields, got 2"):
+        read_grid_function(str(path))
+
+
+def test_csv_reader_names_the_line_of_a_bad_token(tmp_path):
+    path = tmp_path / "token.csv"
+    path.write_text("x,value\n0.25,1\n0.5,abc\n0.75,3\n")
+    message = r"token\.csv: line 3: could not convert string to float: 'abc'"
+    with pytest.raises(ValueError, match=message):
+        read_grid_function(str(path))
