@@ -12,6 +12,7 @@ into an artifact, to keep reruns bit-identical.
 from __future__ import annotations
 
 import argparse
+import encodings.ascii  # noqa: F401  the artifacts' codec: loaded here, not by the first write
 import math
 import os
 import sys

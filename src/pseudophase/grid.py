@@ -20,6 +20,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -323,13 +324,15 @@ def read_grid_function(path: str, grid: Grid | None = None) -> GridFunction:
         n = 2
     else:
         raise ValueError(f"{path}: unrecognized header {header!r}")
+    body = lines[1:]
+    if set(map(str.count, body, repeat(","))) != {n}:
+        # A ragged row, or none at all.
+        raise _row_error(path, raw, n + 1, ValueError("malformed rows"))
     try:
         # numpy parses each token with float(), so the values are float()'s.
-        data = np.array([line.split(",") for line in lines[1:]], dtype=float)
+        data = np.array(",".join(body).split(","), dtype=float).reshape(-1, n + 1)
     except ValueError as err:
         raise _row_error(path, raw, n + 1, err) from None
-    if data.ndim != 2 or data.shape[1] != n + 1:
-        raise ValueError(f"{path}: malformed rows")
     count = data.shape[0]
     if n == 1:
         m = count

@@ -2,9 +2,12 @@
 
 import contextlib
 import io
+import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pseudophase
 from pseudophase import (
     ConfigError,
     Exponents,
@@ -769,3 +773,55 @@ def test_every_config_exits_one_naming_a_key_or_writes_finite_numbers(values):
             assert status in (0, 2), message
             if os.path.isdir(out):
                 assert _non_finite_numbers(out) == []
+
+
+# Runs cli.main in a fresh process with its entry points wrapped the way
+# perfbench/launch.py wraps them, and prints what the op added to sys.modules.
+_OP_MODULES = """
+import json, sys
+import pseudophase.cli as cli
+
+before = []
+
+def first_call(fn):
+    def wrapper(*args, **kwargs):
+        if not before:
+            before.append(set(sys.modules))
+        return fn(*args, **kwargs)
+    return wrapper
+
+for name in ("solve_inner", "optimize_control", "estimate_modulus"):
+    setattr(cli, name, first_call(getattr(cli, name)))
+status = cli.main(sys.argv[1:])
+added = sorted(set(sys.modules) - before[0]) if before else None
+print(json.dumps([status, added, "numpy.random" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("command", ["solve", "control", "compare-ops", "exponents"])
+def test_an_op_imports_nothing_and_only_convexity_loads_numpy_random(tmp_path, command):
+    # The test process has numpy.random loaded already, so each run is a new one.
+    cfg = _write(
+        tmp_path,
+        "run.cfg",
+        f"command = {command}\ngrid.n = 2\ngrid.m = 5\nexponents.q = 4/3\n"
+        "exponents.epsilon = 1e-4\nweight.kind = constant\nweight.mu0 = 0.5\n"
+        "forcing.kind = preset\nforcing.preset = sine\nsolver.tol = 1e-9\n"
+        "control.alpha = 1e-4\ncontrol.tol_reduced = 1e-6\n",
+    )
+    src = os.path.dirname(os.path.dirname(pseudophase.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+    run = subprocess.run(
+        [sys.executable, "-c", _OP_MODULES, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    status, added, numpy_random = json.loads(run.stdout.splitlines()[-1])
+    assert status == 0
+    if command in ("solve", "control"):
+        assert added == []
+    assert not numpy_random

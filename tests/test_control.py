@@ -69,6 +69,138 @@ def test_self_test_rejects_an_inconsistent_gradient():
         bad.self_test(g)
 
 
+def test_probe_fields_are_fixed_distinct_and_in_the_half_open_unit_interval():
+    for g, count in ((Grid(1, 1), 12), (Grid(1, 7), 12), (Grid(2, 7), 4)):
+        fields = control._probe_fields(g, count)
+        assert fields.shape == (count, *g.shape)
+        assert np.array_equal(fields, control._probe_fields(g, count))
+        assert np.all(fields >= -1.0) and np.all(fields < 1.0) and np.all(fields != 0.0)
+        assert len({field.tobytes() for field in fields}) == count
+
+
+def test_probe_fields_are_splitmix64_of_the_entry_counter():
+    gamma = 0x9E3779B97F4A7C15
+
+    def mix(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        return z ^ (z >> 31)
+
+    # The published first output of splitmix64 seeded with 1234567.
+    assert mix((1234567 + gamma) % 2**64) == 6457827717110365317
+    g = Grid(2, 3)
+    counter = range(1, 2 * g.n_nodes + 1)
+    expected = [(mix(k * gamma % 2**64) >> 11) * 2.0**-52 - 1.0 for k in counter]
+    assert control._probe_fields(g, 2).reshape(-1).tolist() == expected
+
+
+def test_self_test_draws_f_u_and_the_two_directions_in_order():
+    g = Grid(2, 4)
+    seen = []
+    good = tracking_objective(GridFunction.zeros(g), alpha=0.5)
+
+    def grad(which):
+        def record(f, u):
+            seen.append((which, f.values.copy(), u.values.copy()))
+            return getattr(good, "grad_" + which)(f, u)
+
+        return record
+
+    spy = Objective(evaluate=good.evaluate, grad_u=grad("u"), grad_f=grad("f"))
+    spy.self_test(g, probes=2)
+    fields = control._probe_fields(g, 8)
+    assert [which for which, _, _ in seen] == ["u", "f", "u", "f"]
+    for k, (_, f, u) in enumerate(seen):
+        probe = 4 * (k // 2)
+        assert np.array_equal(f, fields[probe]) and np.array_equal(u, fields[probe + 1])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", range(1, 10))
+def test_self_test_passes_the_tracking_objective(n, m):
+    g = Grid(n, m)
+    u_d = GridFunction(g, np.cos(np.arange(g.n_nodes, dtype=float)).reshape(g.shape))
+    assert tracking_objective(u_d, alpha=1e-3).self_test(g) <= 1e-6
+
+
+def _tampered(g, grad_u=None, grad_f=None):
+    u_d = GridFunction(g, np.sin(np.arange(g.n_nodes, dtype=float)).reshape(g.shape))
+    good = tracking_objective(u_d, alpha=0.1)
+    return Objective(
+        evaluate=good.evaluate,
+        grad_u=grad_u(good) if grad_u else good.grad_u,
+        grad_f=grad_f(good) if grad_f else good.grad_f,
+    )
+
+
+@pytest.mark.parametrize("g", [Grid(1, 7), Grid(2, 7)])
+def test_self_test_rejects_a_grad_f_wrong_at_one_interior_node(g):
+    node = tuple(k // 2 for k in g.shape)
+
+    def wrong(good):
+        def grad_f(f, u):
+            values = good.grad_f(f, u).values.copy()
+            values[node] += 1e-3
+            return GridFunction(g, values)
+
+        return grad_f
+
+    with pytest.raises(ValueError, match="relative error"):
+        _tampered(g, grad_f=wrong).self_test(g)
+
+
+@pytest.mark.parametrize("g", [Grid(1, 7), Grid(2, 7)])
+def test_self_test_rejects_a_grad_u_scaled_by_one_plus_1e_4(g):
+    scaled = lambda good: lambda f, u: (1.0 + 1e-4) * good.grad_u(f, u)
+    with pytest.raises(ValueError, match="relative error"):
+        _tampered(g, grad_u=scaled).self_test(g)
+
+
+@pytest.mark.parametrize("which", ["u", "f"])
+def test_self_test_rejects_a_gradient_error_that_sums_to_zero(which):
+    # A constant direction pairs to 0 with this error and would miss it.
+    g = Grid(2, 5)
+    error = np.zeros(g.shape)
+    error[1, 2], error[3, 2] = 1e-2, -1e-2
+
+    def wrong(good):
+        return lambda f, u: getattr(good, "grad_" + which)(f, u) + GridFunction(g, error)
+
+    with pytest.raises(ValueError, match="relative error"):
+        _tampered(g, **{"grad_" + which: wrong}).self_test(g)
+
+
+def test_self_test_rejects_gradients_right_only_where_u_equals_f():
+    # E = 0.5 |u - f|^2 claims zero gradients: true exactly where u == f.
+    g = Grid(2, 5)
+    zero = lambda f, u: GridFunction.zeros(g)
+    evaluate = lambda f, u: 0.5 * inner_product(u - f, u - f)
+    obj = Objective(evaluate=evaluate, grad_u=zero, grad_f=zero)
+    with pytest.raises(ValueError, match="relative error"):
+        obj.self_test(g)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"probes": 0}, "probes"),
+        ({"probes": -1}, "probes"),
+        ({"step": 0.0}, "step"),
+        ({"step": -1e-6}, "step"),
+        ({"step": math.inf}, "step"),
+        ({"step": math.nan}, "step"),
+        ({"rel_tol": -1e-6}, "rel_tol"),
+        ({"rel_tol": math.inf}, "rel_tol"),
+        ({"rel_tol": math.nan}, "rel_tol"),
+    ],
+)
+def test_self_test_rejects_arguments_that_test_nothing(kwargs, name):
+    g = Grid(1, 5)
+    obj = tracking_objective(GridFunction.zeros(g), alpha=0.1)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        obj.self_test(g, **kwargs)
+
+
 def test_tracking_objective_rejects_negative_alpha():
     g = Grid(1, 3)
     with pytest.raises(ValueError, match="alpha"):

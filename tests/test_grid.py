@@ -291,3 +291,31 @@ def test_csv_reader_names_the_line_of_a_bad_token(tmp_path):
     message = r"token\.csv: line 3: could not convert string to float: 'abc'"
     with pytest.raises(ValueError, match=message):
         read_grid_function(str(path))
+
+
+def test_csv_reader_refuses_a_header_only_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("x,y,value\n\n")
+    with pytest.raises(ValueError, match=r"empty\.csv: malformed rows"):
+        read_grid_function(str(path))
+
+
+def _nested_parse(path):
+    """The reader's former parse, one list per row: the oracle for the flat one."""
+    lines = [line.strip() for line in open(path, encoding="ascii") if line.strip()]
+    return np.array([line.split(",") for line in lines[1:]], dtype=float)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 9), (2, 1), (2, 6)])
+def test_csv_reader_matches_the_nested_row_parse_bit_for_bit(tmp_path, n, m):
+    g = Grid(n, m)
+    rng = np.random.default_rng(10 * n + m)
+    vals = rng.standard_normal(g.shape) * 10.0 ** rng.uniform(-300.0, 300.0, g.shape)
+    finite = [v for v in _EDGE_VALUES if np.isfinite(v)]  # the reader refuses the rest
+    flat = vals.reshape(-1)
+    flat[: len(finite)] = finite[: flat.size]
+    path = tmp_path / "u.csv"
+    write_grid_function(GridFunction(g, vals), str(path))
+    expected = _nested_parse(path)[:, -1].reshape(g.shape)
+    back = read_grid_function(str(path)).values
+    assert back.tobytes() == expected.tobytes()
