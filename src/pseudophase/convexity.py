@@ -124,8 +124,8 @@ class SamplerConfig:
 
 def real_line_space(scale: float = 1.0) -> SampledSpace:
     """Scalar points drawn from N(0, scale**2); norm is |.|."""
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
 
     def sample(rngs: Sequence[np.random.Generator]) -> np.ndarray:
         return np.array([rng.normal(0.0, scale) for rng in rngs])
@@ -142,22 +142,30 @@ def grid_function_space(
     both the small-gradient and the large-gradient regime of the two phases.
     Each generator draws its point's values, then its target norm.
     """
-    if not 0.0 < norm_low < norm_high:
-        raise ValueError("need 0 < norm_low < norm_high")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"norm exponent p must be finite and >= 1, got {p}")
+    if not 0.0 < norm_low < math.inf:
+        raise ValueError(f"norm_low must be positive and finite, got {norm_low}")
+    if not norm_low < norm_high < math.inf:
+        raise ValueError(f"norm_high must be finite and above norm_low = {norm_low}, got {norm_high}")
     log_low, log_high = np.log(norm_low), np.log(norm_high)
 
     def norm(points: np.ndarray) -> np.ndarray:
         return _sobolev_norms(points, grid, p)
 
     def sample(rngs: Sequence[np.random.Generator]) -> np.ndarray:
-        values = np.stack([rng.standard_normal(grid.shape) for rng in rngs])
+        values = np.empty((len(rngs),) + grid.shape)
+        for k, rng in enumerate(rngs):
+            rng.standard_normal(out=values[k])
         bases = norm(values)
         for k in np.flatnonzero(bases == 0.0):  # pragma: no cover - measure-zero draw
             while bases[k] == 0.0:
-                values[k] = rngs[k].standard_normal(grid.shape)
+                rngs[k].standard_normal(out=values[k])
                 bases[k] = norm(values[k][None])[0]
-        targets = np.array([float(np.exp(rng.uniform(log_low, log_high))) for rng in rngs])
-        return values * (targets / bases).reshape((-1,) + (1,) * grid.n)
+        # np.exp on the array rounds each draw as np.exp on the scalar does.
+        targets = np.exp([rng.uniform(log_low, log_high) for rng in rngs])
+        values *= (targets / bases).reshape((-1,) + (1,) * grid.n)
+        return values
 
     return SampledSpace(sample=sample, norm=norm)
 
@@ -202,7 +210,9 @@ def _trial_parts(
     t = theta.reshape((-1,) + (1,) * (x.ndim - 1))
     fx = np.asarray(F(x), dtype=float)
     fy = np.asarray(F(y), dtype=float)
-    fc = np.asarray(F(t * x + (1.0 - t) * y), dtype=float)
+    mix = t * x
+    mix += (1.0 - t) * y
+    fc = np.asarray(F(mix), dtype=float)
     gap = theta * fx + (1.0 - theta) * fy - fc
     basis = np.minimum(theta, 1.0 - theta) * _powers(dist, gamma)
     scale = np.abs(fx) + np.abs(fy) + np.abs(fc)

@@ -329,7 +329,9 @@ def _energy_terms(
     """p_term, q_term and load_term of J for every nodal array in a stack.
 
     The stack has a leading point axis; per point the arithmetic is the
-    single-field one, axis terms added from 0.0 up.
+    single-field one, axis terms added from 0.0 up.  Each axis works inside
+    the edge array _diff returns, with s2 ** (p/2) the one other temporary,
+    and frees it before the next.
     """
     grid = mu.grid
     cell = grid.h**grid.n
@@ -337,10 +339,14 @@ def _energy_terms(
     p_term = np.zeros(len(stack))
     q_term = np.zeros(len(stack))
     for axis in range(grid.n):
-        g = _diff(stack, axis + 1, grid.h)
-        s2 = g * g + eps2
+        s2 = _diff(stack, axis + 1, grid.h)
+        s2 *= s2
+        s2 += eps2
         p_term += _row_sums(s2 ** (e.p / 2.0)) * cell / e.p
-        q_term += _row_sums(mu.per_axis[axis] * s2 ** (e.q / 2.0)) * cell / e.q
+        s2 **= e.q / 2.0
+        s2 *= mu.per_axis[axis]
+        q_term += _row_sums(s2) * cell / e.q
+        del s2
     load = _row_sums(f.values * stack) * cell
     return p_term, q_term, load
 

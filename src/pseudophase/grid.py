@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable
@@ -172,17 +173,21 @@ class EdgeField:
 
 
 def _diff(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """forward_diff on a bare nodal array: ghost-zero differences over h."""
-    shape = list(vals.shape)
-    shape[axis] += 1
-    out = np.empty(shape)
-    o = out.swapaxes(0, axis)
-    v = vals.swapaxes(0, axis)
-    o[:1] = v[:1]
-    np.subtract(v[1:], v[:-1], out=o[1:-1])
-    np.subtract(0.0, v[-1:], out=o[-1:])
+    """forward_diff on a bare nodal array: ghost-zero differences over h.
+
+    The values go into a zeroed flat buffer laid out (outer, size + 1, inner),
+    a zero slab before each run along `axis`, plus one trailing slab; the
+    edges are then one contiguous subtraction of the buffer from itself
+    shifted by a slab, in C order, with v - 0.0 == v and 0.0 - v at the ends.
+    """
+    shape = vals.shape
+    size, inner = shape[axis], math.prod(shape[axis + 1 :])
+    n = vals.size // size * (size + 1)
+    padded = np.zeros(n + inner)
+    padded[:n].reshape(-1, size + 1, inner)[:, 1:] = vals.reshape(-1, size, inner)
+    out = np.subtract(padded[inner:], padded[:n])
     out /= h
-    return out
+    return out.reshape(shape[:axis] + (size + 1,) + shape[axis + 1 :])
 
 
 def _diffs(vals: np.ndarray, h: float) -> list[np.ndarray]:
@@ -247,7 +252,7 @@ def sobolev_norm(u: GridFunction, p: float) -> float:
     ----------
     u : GridFunction
     p : float
-        Exponent, must satisfy p >= 1.
+        Exponent, finite with p >= 1.
     """
     return float(_sobolev_norms(u.values[None], u.grid, p)[0])
 
@@ -261,14 +266,19 @@ def _sobolev_norms(stack: np.ndarray, grid: Grid, p: float) -> np.ndarray:
     """sobolev_norm of every nodal array in a stack (leading point axis).
 
     Per point the arithmetic is the single-field one: the axis sums are
-    added from 0.0 up and the root is taken in Python floats.
+    added from 0.0 up and the root is taken in Python floats.  Each axis
+    works inside the edge array _diff returns and frees it before the next.
     """
-    if p < 1:
-        raise ValueError(f"norm exponent must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"norm exponent p must be finite and >= 1, got {p}")
     cell = grid.h**grid.n
     totals = np.zeros(len(stack))
     for axis in range(1, stack.ndim):
-        totals += _row_sums(np.abs(_diff(stack, axis, grid.h)) ** p) * cell
+        g = _diff(stack, axis, grid.h)
+        np.abs(g, out=g)
+        g **= p
+        totals += _row_sums(g) * cell
+        del g
     return np.array([t ** (1.0 / p) for t in totals.tolist()])
 
 

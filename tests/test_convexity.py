@@ -167,6 +167,35 @@ def test_real_line_space_scale_validation():
         real_line_space(0.0)
 
 
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -1.0])
+def test_real_line_space_rejects_a_scale_that_is_not_positive_and_finite(scale):
+    with pytest.raises(ValueError, match="scale"):
+        real_line_space(scale)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, 0.5])
+def test_grid_function_space_rejects_a_bad_norm_exponent(p):
+    with pytest.raises(ValueError, match="exponent p"):
+        grid_function_space(Grid(2, 3), p)
+
+
+@pytest.mark.parametrize(
+    "band, name",
+    [
+        ({"norm_high": math.inf}, "norm_high"),
+        ({"norm_high": math.nan}, "norm_high"),
+        ({"norm_high": 0.05}, "norm_high"),
+        ({"norm_low": math.nan}, "norm_low"),
+        ({"norm_low": math.inf}, "norm_low"),
+        ({"norm_low": 0.0}, "norm_low"),
+    ],
+)
+def test_grid_function_space_names_the_end_of_a_bad_norm_band(band, name):
+    # Each message opens with the bad end's name; the other end may follow.
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        grid_function_space(Grid(2, 3), 4.0, **band)
+
+
 def test_grid_function_space_respects_norm_band():
     g = Grid(1, 5)
     space = grid_function_space(g, 4.0)

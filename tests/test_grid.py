@@ -1,8 +1,11 @@
 """Lattice, calculus, and I/O tests for the grid module."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pseudophase import (
@@ -17,6 +20,8 @@ from pseudophase import (
     sobolev_norm,
     write_grid_function,
 )
+from pseudophase.energy import Exponents, WeightField, _energy_terms
+from pseudophase.grid import _diff, _sobolev_norms
 
 
 def test_grid_smallest():
@@ -81,6 +86,90 @@ def test_difference_kernels_match_the_pad_formulas_bitwise(n, m, seed):
         assert np.array_equal(neg_divergence(EdgeField(g, axis, d)).values, -np.diff(d, axis=axis) / g.h)
 
 
+def _swapaxes_diff(vals, axis, h):
+    """_diff as it stood before the padded flat kernel: the bit oracle."""
+    shape = list(vals.shape)
+    shape[axis] += 1
+    out = np.empty(shape)
+    o = out.swapaxes(0, axis)
+    v = vals.swapaxes(0, axis)
+    o[:1] = v[:1]
+    np.subtract(v[1:], v[:-1], out=o[1:-1])
+    np.subtract(0.0, v[-1:], out=o[-1:])
+    out /= h
+    return out
+
+
+#: Values where a kernel could round, overflow or sign differently.
+_KERNEL_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]
+
+
+def _kernel_input(rng, shape, layout):
+    """Scaled normal values with specials sprinkled in, as a C, transposed or strided array."""
+    vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    flat = vals.reshape(-1)
+    spots = rng.integers(0, flat.size, rng.integers(0, 2 * len(_KERNEL_SPECIALS) + 1))
+    flat[spots] = rng.choice(_KERNEL_SPECIALS, len(spots))
+    if layout == "transposed":
+        return np.ascontiguousarray(vals.T).T
+    if layout == "strided":
+        wide = np.zeros(shape[:-1] + (2 * shape[-1],))
+        wide[..., ::2] = vals
+        return wide[..., ::2]
+    return vals
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    m=st.integers(1, 40),
+    stack=st.sampled_from([0, 1, 3]),
+    layout=st.sampled_from(["c", "transposed", "strided"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# m = 30 and 62: 1/h is not exact there, so a multiply by it would round differently.
+@example(n=2, m=30, stack=0, layout="c", seed=0)
+@example(n=1, m=62, stack=3, layout="transposed", seed=2)
+@example(n=2, m=31, stack=3, layout="strided", seed=1)
+def test_diff_matches_the_swapaxes_oracle_bit_for_bit(n, m, stack, layout, seed):
+    rng = np.random.default_rng(seed)
+    lead = (stack,) if stack else ()
+    h = Grid(n, m).h
+    vals = _kernel_input(rng, lead + (m,) * n, layout)
+    for axis in range(len(lead), vals.ndim):
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = _diff(vals, axis, h)
+            want = _swapaxes_diff(vals, axis, h)
+        assert d.shape == want.shape and d.tobytes() == want.tobytes()
+
+
+def _traced_peak(fn):
+    """Peak bytes traced by tracemalloc over one call of fn, after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lab_kernels_hold_at_most_two_edge_stacks():
+    # A strided difference or an extra stack-sized temporary breaks these bounds.
+    g = Grid(2, 31)
+    k = 16
+    stack = np.random.default_rng(5).standard_normal((k,) + g.shape)
+    edge_stack = k * 32 * 31 * 8
+    mu = WeightField.ramp(g, 2.0)
+    e = Exponents(4.0, 4.0 / 3.0, 2, 1e-4)
+    f = GridFunction.zeros(g)
+    assert _traced_peak(lambda: _energy_terms(stack, f, mu, e)) <= 2.1 * edge_stack
+    assert _traced_peak(lambda: _sobolev_norms(stack, g, 4.0)) <= 2.1 * edge_stack
+    for axis, inner in ((1, 31), (2, 1)):
+        padded = edge_stack + inner * 8
+        assert _traced_peak(lambda: _diff(stack, axis, g.h)) <= padded + edge_stack + 1024
+
+
 def test_quadrature_ones_2d():
     g = Grid(2, 3)
     assert quadrature(GridFunction.full(g, 1.0)) == 0.5625
@@ -132,6 +221,12 @@ def test_sobolev_norm_zero_and_validation():
     assert sobolev_norm(GridFunction.zeros(g), 2.0) == 0.0
     with pytest.raises(ValueError):
         sobolev_norm(GridFunction.zeros(g), 0.5)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+def test_sobolev_norm_rejects_a_non_finite_exponent(p):
+    with pytest.raises(ValueError, match="exponent p"):
+        sobolev_norm(GridFunction.full(Grid(2, 3), 1.0), p)
 
 
 def test_sobolev_norm_triangle_inequality():
