@@ -351,12 +351,12 @@ def _cmd_convexity(config: RunConfig) -> int:
     mu = _build_weight(config)
     e = config.exponents
     grid = config.grid
-    f0 = GridFunction.zeros(grid)
     gamma = config["convexity.gamma"] if config["convexity.gamma"] is not None else e.p
 
     def functional(points: np.ndarray) -> np.ndarray:
-        p_term, q_term, load = _energy_terms(points, f0, mu, e)
-        return p_term + q_term - load
+        # J at zero forcing: no load term.
+        p_term, q_term = _energy_terms(points, mu, e)
+        return p_term + q_term
 
     sampler = SamplerConfig(
         seed=config["seed"],

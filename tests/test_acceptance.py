@@ -237,16 +237,15 @@ def test_criterion_07_hyperconvexity_lab():
     g = Grid(1, 5)
     e = Exponents(4.0, 4.0 / 3.0, 1, 1e-6)
     mu = WeightField.constant(g, 1.0)
-    f0 = GridFunction.zeros(g)
     space = grid_function_space(g, 4.0)
     norm_q = grid_function_space(g, 4.0 / 3.0).norm
     j_cfg = SamplerConfig(seed=0, trials=1000, space=space)
 
     # The lab's points are stacks of nodal arrays; each functional returns
-    # one value per point.
+    # one value per point.  J is the energy at zero forcing.
     def J(points):
-        p_term, q_term, load = _energy_terms(points, f0, mu, e)
-        return p_term + q_term - load
+        p_term, q_term = _energy_terms(points, mu, e)
+        return p_term + q_term
 
     j_cert = estimate_modulus(J, 4.0, j_cfg)
 

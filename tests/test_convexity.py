@@ -32,12 +32,12 @@ def square(x):
     return x * x
 
 
-def stacked_energy(f, mu, e):
-    """J on a stack of nodal arrays, one total per point."""
+def stacked_energy(mu, e):
+    """J at zero forcing on a stack of nodal arrays, one total per point."""
 
     def J(points):
-        p_term, q_term, load = _energy_terms(points, f, mu, e)
-        return p_term + q_term - load
+        p_term, q_term = _energy_terms(points, mu, e)
+        return p_term + q_term
 
     return J
 
@@ -215,7 +215,7 @@ def test_energy_modulus_on_grid_functions():
     g = Grid(1, 5)
     e = Exponents(4.0, 4.0 / 3.0, 1, 1e-6)
     mu = WeightField.constant(g, 1.0)
-    J = stacked_energy(GridFunction.zeros(g), mu, e)
+    J = stacked_energy(mu, e)
     cfg = SamplerConfig(seed=0, trials=1000, space=grid_function_space(g, 4.0))
     cert = estimate_modulus(J, 4.0, cfg)
     assert cert.failures == 0
@@ -307,7 +307,7 @@ def reference_norm(u, p):
     total = 0.0
     for axis in range(grid.n):
         g = forward_diff(u, axis).values
-        total += float((np.abs(g) ** p).sum() * grid.h**grid.n)
+        total += float(((g * g) ** (p / 2)).sum() * grid.h**grid.n)
     return total ** (1.0 / p)
 
 
@@ -351,12 +351,19 @@ def reference_parts(F, x, y, theta, gamma, norm):
     return gap, basis, scale
 
 
+def trial_rng(seed, index):
+    """numpy's own generator for trial `index`: the stream the lab must draw from."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    )
+
+
 def reference_triples(seed, trials, gamma, F, sample, norm):
     gaps = np.empty(trials)
     bases = np.empty(trials)
     scales = np.empty(trials)
     for i in range(trials):
-        rng = lab._trial_rng(seed, i)
+        rng = trial_rng(seed, i)
         theta = (
             lab._THETA_PROBES[i]
             if i < len(lab._THETA_PROBES)
@@ -412,7 +419,7 @@ def test_chunked_lab_reproduces_the_per_trial_loop(seed, trials, n, m, gamma, ex
         reference_grid_sample(g, p),
         lambda u: reference_norm(u, p),
     )
-    assert_matches_reference(cfg, gamma, stacked_energy(f, mu, e), reference)
+    assert_matches_reference(cfg, gamma, stacked_energy(mu, e), reference)
 
 
 @settings(max_examples=20, deadline=None)
@@ -438,6 +445,79 @@ def test_chunked_lab_redraws_coincident_points_like_the_per_trial_loop(seed, tri
         seed, trials, 2.0, square, lambda rng: float(rng.integers(0, 2)), abs
     )
     assert_matches_reference(cfg, 2.0, square, reference)
+
+
+# ---------------------------------------------------------------------------
+# Bulk seeding: the lab computes each trial's PCG64 state itself; numpy's
+# SeedSequence and PCG64 are the reference.
+# ---------------------------------------------------------------------------
+
+SEED_EDGES = st.sampled_from([0, lab._CHUNK, lab._SEED_BLOCK, 2 * lab._SEED_BLOCK])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**200),
+    edge=SEED_EDGES,
+    offset=st.integers(-lab._CHUNK - 1, lab._CHUNK + 1),
+    length=st.integers(1, 2 * lab._CHUNK + 3),
+)
+def test_bulk_seeder_gives_numpys_pcg64_state_for_every_trial(seed, edge, offset, length):
+    window = range(max(edge + offset, 0), max(edge + offset, 0) + length)
+    want = []
+    for i in window:
+        state = trial_rng(seed, i).bit_generator.state["state"]
+        want.append((state["state"], state["inc"]))
+    assert lab._pcg64_states(seed, window) == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**70 + 3])
+def test_lab_streams_draw_what_numpys_generators_draw(seed):
+    # Every point draws 1000 normals and then one uniform from its trial's
+    # stream; trials past the probes draw theta first.
+    trials = lab._CHUNK + 3
+    drawn = []
+
+    def sample(rngs):
+        points = [(rng.standard_normal(1000).tolist(), rng.uniform()) for rng in rngs]
+        drawn.extend(points)
+        return np.array([uniform for _, uniform in points])
+
+    space = lab.SampledSpace(sample=sample, norm=np.abs)
+    estimate_modulus(square, 2.0, SamplerConfig(seed=seed, trials=trials, space=space))
+    want = {}
+    for i in range(trials):
+        rng = trial_rng(seed, i)
+        if i >= len(lab._THETA_PROBES):
+            rng.uniform(1e-3, 1.0 - 1e-3)
+        want[i] = [(rng.standard_normal(1000).tolist(), rng.uniform()) for _ in range(2)]
+    chunks = [range(start, min(start + lab._CHUNK, trials)) for start in range(0, trials, lab._CHUNK)]
+    order = [want[i][point] for chunk in chunks for point in (0, 1) for i in chunk]
+    assert drawn == order
+
+
+def test_lab_streams_cross_a_seed_block_like_the_per_trial_loop():
+    trials = 2 * lab._SEED_BLOCK + lab._CHUNK // 2
+    cfg = SamplerConfig(seed=2**40 + 5, trials=trials, space=real_line_space(2.0))
+    reference = reference_triples(
+        cfg.seed, trials, 2.0, square, lambda rng: float(rng.normal(0.0, 2.0)), abs
+    )
+    assert_matches_reference(cfg, 2.0, square, reference)
+
+
+def test_the_lab_builds_no_seed_sequence(monkeypatch):
+    # The per-trial SeedSequence construction the bulk seeder replaced.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the lab built a SeedSequence")
+
+    monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+    cert = estimate_modulus(square, 2.0, SamplerConfig(seed=7, trials=40, space=real_line_space()))
+    assert cert.trials == 40 and cert.passed
+
+
+def test_a_negative_seed_is_rejected():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        estimate_modulus(square, 2.0, SamplerConfig(seed=-1, trials=1, space=real_line_space()))
 
 
 def test_sampler_that_only_repeats_its_point_is_rejected():
@@ -469,9 +549,46 @@ def test_stacked_kernels_reproduce_the_one_field_loops(seed, n, m, points, expon
     assert grid_function_space(g, p).norm(stack).tolist() == [
         reference_norm(u, p) for u in fields
     ]
-    assert stacked_energy(f, mu, e)(stack).tolist() == [
-        reference_energy(u, f, mu, e) for u in fields
+    # The stacked terms leave out the load: J at zero forcing, bit for bit.
+    assert stacked_energy(mu, e)(stack).tolist() == [
+        reference_energy(u, GridFunction.zeros(g), mu, e) for u in fields
     ]
     for u in fields:
         assert sobolev_norm(u, p) == reference_norm(u, p)
         assert energy(u, f, mu, e).total == reference_energy(u, f, mu, e)
+
+
+# ---------------------------------------------------------------------------
+# The norm's arithmetic: |d_i u|^p as (d_i u * d_i u) ** (p/2).
+# ---------------------------------------------------------------------------
+
+
+def abs_power_norm(u, p):
+    """The norm as it stood before the squaring: |g| ** p."""
+    grid = u.grid
+    total = 0.0
+    for axis in range(grid.n):
+        g = forward_diff(u, axis).values
+        total += float((np.abs(g) ** p).sum() * grid.h**grid.n)
+    return total ** (1.0 / p)
+
+
+@pytest.mark.parametrize("p", [1.0, 4.0 / 3.0, 2.0, 3.0, 4.0])
+def test_norm_by_squaring_stays_within_4e16_of_the_abs_power(p):
+    rng = np.random.default_rng(1600)
+    for _ in range(300):
+        g = Grid(int(rng.integers(1, 3)), int(rng.integers(1, 32)))
+        u = GridFunction(g, rng.standard_normal(g.shape) * 10.0 ** rng.uniform(-3, 3))
+        old = abs_power_norm(u, p)
+        assert abs(sobolev_norm(u, p) - old) <= 4e-16 * old
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+def test_norm_overflows_once_a_difference_squares_to_inf(p):
+    # On Grid(1, 1) the differences of u = [v] are +-2v.  Above
+    # sqrt(DBL_MAX) ~ 1.34e154 their square is inf, for p < 2 too.
+    g = Grid(1, 1)
+    with np.errstate(over="ignore"):
+        assert sobolev_norm(GridFunction(g, [0.68e154]), p) == math.inf
+        if p < 2.0:
+            assert math.isfinite(sobolev_norm(GridFunction(g, [0.66e154]), p))

@@ -21,7 +21,7 @@ from pseudophase import (
     write_grid_function,
 )
 from pseudophase.energy import Exponents, WeightField, _energy_terms
-from pseudophase.grid import _diff, _sobolev_norms
+from pseudophase.grid import _diff, _neg_div, _sobolev_norms
 
 
 def test_grid_smallest():
@@ -143,6 +143,41 @@ def test_diff_matches_the_swapaxes_oracle_bit_for_bit(n, m, stack, layout, seed)
         assert d.shape == want.shape and d.tobytes() == want.tobytes()
 
 
+def _swapaxes_neg_div(flux, axis, h):
+    """_neg_div as it stood before the flat kernel: the bit oracle."""
+    shape = list(flux.shape)
+    shape[axis] -= 1
+    out = np.empty(shape)
+    f = flux.swapaxes(0, axis)
+    np.subtract(f[1:], f[:-1], out=out.swapaxes(0, axis))
+    out /= -h
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from([1, 2]),
+    m=st.integers(1, 40),
+    stack=st.sampled_from([0, 1, 3]),
+    layout=st.sampled_from(["c", "transposed", "strided"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=2, m=30, stack=0, layout="c", seed=0)
+@example(n=2, m=63, stack=0, layout="transposed", seed=3)
+def test_neg_div_matches_the_swapaxes_oracle_bit_for_bit(n, m, stack, layout, seed):
+    rng = np.random.default_rng(seed)
+    lead = (stack,) if stack else ()
+    h = Grid(n, m).h
+    for axis in range(len(lead), len(lead) + n):
+        shape = list(lead + (m,) * n)
+        shape[axis] += 1
+        flux = _kernel_input(rng, tuple(shape), layout)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = _neg_div(flux, axis, h)
+            want = _swapaxes_neg_div(flux, axis, h)
+        assert d.shape == want.shape and d.flags.c_contiguous and d.tobytes() == want.tobytes()
+
+
 def _traced_peak(fn):
     """Peak bytes traced by tracemalloc over one call of fn, after a warm-up call."""
     fn()
@@ -162,12 +197,21 @@ def test_lab_kernels_hold_at_most_two_edge_stacks():
     edge_stack = k * 32 * 31 * 8
     mu = WeightField.ramp(g, 2.0)
     e = Exponents(4.0, 4.0 / 3.0, 2, 1e-4)
-    f = GridFunction.zeros(g)
-    assert _traced_peak(lambda: _energy_terms(stack, f, mu, e)) <= 2.1 * edge_stack
+    assert _traced_peak(lambda: _energy_terms(stack, mu, e)) <= 2.1 * edge_stack
     assert _traced_peak(lambda: _sobolev_norms(stack, g, 4.0)) <= 2.1 * edge_stack
     for axis, inner in ((1, 31), (2, 1)):
         padded = edge_stack + inner * 8
         assert _traced_peak(lambda: _diff(stack, axis, g.h)) <= padded + edge_stack + 1024
+
+
+def test_neg_div_holds_its_differences_and_its_result():
+    # The strided swapaxes subtraction traced 96.9 KB along the last axis at
+    # m = 63: a 31.8 KB result plus numpy's iterator buffers.
+    g = Grid(2, 63)
+    for axis in range(2):
+        flux = np.random.default_rng(axis).standard_normal(g.edge_shape(axis))
+        result = 63 * 63 * 8
+        assert _traced_peak(lambda: _neg_div(flux, axis, g.h)) <= flux.nbytes + result + 1024
 
 
 def test_quadrature_ones_2d():
