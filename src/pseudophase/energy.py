@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -595,9 +595,8 @@ def _raw_energy_decrease(
     q: float,
     eps2: float,
     cell: float,
-    t: float,
-) -> float:
-    """J(u - t*d) - J(u) evaluated to *relative* precision.
+) -> Callable[[float], float]:
+    """t -> J(u - t*d) - J(u), evaluated to *relative* precision.
 
     Subtracting two full energies loses every digit once the step change
     drops below the round-off of J itself, which freezes line searches at
@@ -605,24 +604,36 @@ def _raw_energy_decrease(
     change as s2^(p/2) * expm1(p/2 * log1p(delta/s2)) with
     delta = gt^2 - g^2 = -t*d*(2g - t*d) keeps the result accurate at any
     magnitude, so an Armijo decrease can be certified arbitrarily close to
-    the minimizer.  f_dot_dir is cell * sum(f * d).
+    the minimizer.  f_dot_dir is cell * sum(f * d).  What does not depend on
+    t (s2, its two powers and, at eps2 = 0, the edges where s2 vanishes) is
+    computed once here, not once per trial step.
     """
-    total = t * f_dot_dir
-    for axis, g in enumerate(diffs):
-        dg = dir_diffs[axis]
+    axes = []
+    for g, dg, mu in zip(diffs, dir_diffs, mu_axes):
         s2 = g * g + eps2
-        gt = g - t * dg
-        delta = -t * dg * (g + gt)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = np.maximum(delta / s2, -1.0)
-            dp = s2 ** (p / 2.0) * np.expm1(0.5 * p * np.log1p(r))
-            dq = s2 ** (q / 2.0) * np.expm1(0.5 * q * np.log1p(r))
+        zero = None
         if eps2 == 0.0:
             zero = s2 == 0.0
-            if zero.any():
+            if not zero.any():
+                zero = None
+        with np.errstate(over="ignore"):
+            axes.append((g, dg, mu, s2, s2 ** (p / 2.0), s2 ** (q / 2.0), zero))
+
+    def decrease(t: float) -> float:
+        total = t * f_dot_dir
+        for g, dg, mu, s2, s2_p, s2_q, zero in axes:
+            gt = g - t * dg
+            delta = -t * dg * (g + gt)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                log_r = np.log1p(np.maximum(delta / s2, -1.0))
+                dp = s2_p * np.expm1(0.5 * p * log_r)
+                dq = s2_q * np.expm1(0.5 * q * log_r)
+            if zero is not None:
                 s2t = gt * gt
                 dp = np.where(zero, s2t ** (p / 2.0), dp)
                 dq = np.where(zero, s2t ** (q / 2.0), dq)
-        total += float(np.add.reduce(dp, axis=None)) * cell / p
-        total += float(np.add.reduce(mu_axes[axis] * dq, axis=None)) * cell / q
-    return total
+            total += float(np.add.reduce(dp, axis=None)) * cell / p
+            total += float(np.add.reduce(mu * dq, axis=None)) * cell / q
+        return total
+
+    return decrease

@@ -13,7 +13,15 @@ itself, the steepest-descent direction, when the first direction already
 failed.  At eps_reg = 0, where H can be singular (the coefficients vanish
 on edges with a zero difference where mu = 0), the method thus degrades to
 gradient descent instead of failing, and CG runs unpreconditioned when a
-diagonal entry of H vanishes.
+diagonal entry of H vanishes.  report.cg_curvature_stops counts the
+Newton steps whose CG ended on that curvature test.
+
+CG iterates on flat vectors, and every reduction of the Krylov loops here
+and in the control module is one BLAS dot: CG's own by ndarray.dot, the
+gradient norms, the slopes and f.d by _dot.  A run repeats its bits on
+one machine, but the dot's rounding follows the ddot kernel OpenBLAS
+picks for the CPU and its thread count, so another machine may differ in
+the last bits.
 
 Convergence is declared on the max-norm of the energy gradient, whose
 component at node k is the weak residual against the indicator of node k
@@ -65,8 +73,14 @@ _EW_ALPHA = 2.0
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """float(np.sum(a * b)) bit for bit, without np.sum's dispatch overhead."""
-    return float(np.add.reduce(a * b, axis=None))
+    """The dot product of a and b over their flat views, one BLAS ddot.
+
+    It rounds unlike np.sum's pairwise sum.  Its bits depend on the length
+    and the values, not on where the operands sit in memory, so a run
+    repeats itself on one machine; a CPU that selects another ddot kernel
+    may differ in the last bits.
+    """
+    return float(a.ravel().dot(b.ravel()))
 
 
 def _cg(
@@ -85,37 +99,50 @@ def _cg(
     has p.Ap <= curvature_floor * p.p, and "max_iters" when the iterations
     run out.  On "curvature" x is the iterate before that direction, or b
     itself when the first direction already failed.
+
+    The iteration runs on flat vectors with BLAS dots; apply_A gets a view
+    of the direction in b's shape, which it must not keep.
     """
-    x = np.zeros(b.shape)
-    b_norm = math.sqrt(_dot(b, b))
+    shape = b.shape
+    r = b.ravel().astype(float)
+    x = np.zeros(r.size)
+    b_norm = math.sqrt(r.dot(r))
     if b_norm == 0.0:
-        return x, "converged"
-    r = b.astype(float)
-    z = r if inv_diag is None else r * inv_diag
+        return x.reshape(shape), "converged"
+    if inv_diag is None:
+        z = r
+    else:
+        inv_diag = inv_diag.ravel()
+        z = r * inv_diag
     p = z.copy()
-    rz = _dot(r, z)
+    p_view = p.reshape(shape)
+    tmp = np.empty_like(r)
+    rz = float(r.dot(z))
     for k in range(max_iters):
-        Ap = apply_A(p)
-        pAp = _dot(p, Ap)
+        Ap = apply_A(p_view).ravel()
+        pAp = float(p.dot(Ap))
         # 0.0 * p.p is 0: without a floor, p.p is not needed.
-        if pAp <= (curvature_floor * _dot(p, p) if curvature_floor else 0.0):
-            return (b if k == 0 else x), "curvature"
+        if pAp <= (curvature_floor * float(p.dot(p)) if curvature_floor else 0.0):
+            return (b if k == 0 else x.reshape(shape)), "curvature"
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        rr = _dot(r, r)
+        # p*alpha into tmp rounds as alpha*p, without a temporary.
+        x += np.multiply(p, alpha, out=tmp)
+        r -= np.multiply(Ap, alpha, out=tmp)
+        # A product returns a fresh array: hold one at a time, not two.
+        del Ap
+        rr = float(r.dot(r))
         if math.sqrt(rr) <= tol * b_norm:
-            return x, "converged"
+            return x.reshape(shape), "converged"
         if inv_diag is None:
             z, rz_new = r, rr
         else:
             np.multiply(r, inv_diag, out=z)
-            rz_new = _dot(r, z)
+            rz_new = float(r.dot(z))
         # p*beta + z rounds as z + beta*p.
         p *= rz_new / rz
         p += z
         rz = rz_new
-    return x, "max_iters"
+    return x.reshape(shape), "max_iters"
 
 
 def _forcing_term(eta: float, g_norm: float, prev_norm: float, tol_grad: float) -> float:
@@ -178,6 +205,7 @@ class SolveReport:
     u_star: GridFunction
     iterations: int  # Newton steps taken
     matvecs: int  # Hessian products spent on the Newton systems
+    cg_curvature_stops: int  # Newton steps whose CG ended on the curvature test
     final_grad_norm: float
     energy_trace: tuple[float, ...]
     weak_check: float
@@ -245,6 +273,7 @@ def solve_inner(
     status = "max_iters"
     iterations = 0
     matvecs = 0
+    curvature_stops = 0
     eta = _ETA_0
     prev_norm: float | None = None
 
@@ -266,18 +295,20 @@ def solve_inner(
             return _hessian_product(lin, w)
 
         diag = _jacobi_diagonal(lin)
-        d, _ = _cg(apply_h, g, eta, vals.size, floor, None if diag is None else 1.0 / diag)
+        d, reason = _cg(apply_h, g, eta, vals.size, floor, None if diag is None else 1.0 / diag)
+        curvature_stops += reason == "curvature"
         slope = _dot(g, d)
         if not slope > 0.0:
             # Round-off can tip a long CG iterate off descent; the Armijo
             # test needs a positive slope to certify a decrease.
             d, slope = g, _dot(g, g)
         dir_diffs = _diffs(d, h)
-        f_dot_dir = cell * _dot(f_vals, d)
+        decrease = _raw_energy_decrease(
+            diffs, dir_diffs, cell * _dot(f_vals, d), mu_axes, p, q, eps2, cell
+        )
 
         def trial(t: float) -> tuple[float, None]:
-            dj = _raw_energy_decrease(diffs, dir_diffs, f_dot_dir, mu_axes, p, q, eps2, cell, t)
-            return dj, None
+            return decrease(t), None
 
         accepted = _backtrack(trial, 1.0, cfg.backtrack, 0.0, cfg.armijo_c * cell * slope)
         if accepted is None:
@@ -306,6 +337,7 @@ def solve_inner(
         u_star=u,
         iterations=iterations,
         matvecs=matvecs,
+        cg_curvature_stops=curvature_stops,
         final_grad_norm=final_grad_norm,
         energy_trace=tuple(trace),
         weak_check=float(np.max(np.abs(_nodal_weak_residuals(u, f, mu, e)))),

@@ -731,7 +731,7 @@ def test_model_s_solves_run_at_a_fraction_of_the_model_tolerance(monkeypatch):
     depth = []
 
     def spy(apply_A, b, tol, *args, **kwargs):
-        record = [tol, math.sqrt(float(np.sum(b * b))), []]
+        record = [tol, math.sqrt(float(np.dot(b.flatten(), b.flatten()))), []]
         (calls[-1][2] if depth else calls).append(record)
         depth.append(1)
         try:

@@ -714,10 +714,11 @@ def test_raw_energy_decrease_matches_energy_difference():
     dir_diffs = _diffs(d.values, g.h)
     f_dot = cell * float(np.sum(f.values * d.values))
     j0 = energy(u, f, mu, e).total
+    decrease = _raw_energy_decrease(
+        diffs, dir_diffs, f_dot, mu.per_axis, e.p, e.q, e.eps_reg**2, cell
+    )
     for t in (1e-1, 1e-3, 1e-6):
-        dj = _raw_energy_decrease(
-            diffs, dir_diffs, f_dot, mu.per_axis, e.p, e.q, e.eps_reg**2, cell, t
-        )
+        dj = decrease(t)
         jt = energy(u - t * d, f, mu, e).total
         assert dj == pytest.approx(jt - j0, rel=1e-7, abs=1e-13)
 
@@ -735,9 +736,7 @@ def test_raw_energy_decrease_handles_vanishing_edges_without_eps():
     diffs = _diffs(u.values, g.h)
     dir_diffs = _diffs(d.values, g.h)
     t = 0.25
-    dj = _raw_energy_decrease(
-        diffs, dir_diffs, 0.0, mu.per_axis, 2.0, 2.0, 0.0, cell, t
-    )
+    dj = _raw_energy_decrease(diffs, dir_diffs, 0.0, mu.per_axis, 2.0, 2.0, 0.0, cell)(t)
     j0 = energy(u, f, mu, e).total
     jt = energy(u - t * d, f, mu, e).total
     assert dj == pytest.approx(jt - j0, rel=1e-12, abs=1e-14)

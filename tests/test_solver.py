@@ -2,11 +2,12 @@
 
 import importlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pseudophase import (
@@ -259,24 +260,32 @@ def test_cg_truncates_at_null_curvature_with_its_current_iterate():
     assert np.max(np.abs(x)) > 1e19
 
 
+def _flat_dot(a, b):
+    """The reduction _cg makes: np.dot of flat copies."""
+    return float(np.dot(a.flatten(), b.flatten()))
+
+
 def _frozen_cg(apply_A, b, tol, max_iters, curvature_floor=0.0):
-    """_cg as it was before the Jacobi preconditioner, kept as the oracle."""
+    """_cg as it was before the Jacobi preconditioner, kept as the oracle.
+
+    Its reductions moved from np.sum to the flat dot _cg makes.
+    """
     x = np.zeros_like(b)
-    b_norm = float(np.sqrt(np.sum(b * b)))
+    b_norm = float(np.sqrt(_flat_dot(b, b)))
     if b_norm == 0.0:
         return x, "converged"
     r = b.copy()
     p = r.copy()
-    rs = float(np.sum(r * r))
+    rs = _flat_dot(r, r)
     for k in range(max_iters):
         Ap = apply_A(p)
-        pAp = float(np.sum(p * Ap))
-        if pAp <= curvature_floor * float(np.sum(p * p)):
+        pAp = _flat_dot(p, Ap)
+        if pAp <= curvature_floor * _flat_dot(p, p):
             return (b if k == 0 else x), "curvature"
         alpha = rs / pAp
         x = x + alpha * p
         r = r - alpha * Ap
-        rs_new = float(np.sum(r * r))
+        rs_new = _flat_dot(r, r)
         if np.sqrt(rs_new) <= tol * b_norm:
             return x, "converged"
         p = r + (rs_new / rs) * p
@@ -328,28 +337,31 @@ def test_cg_with_the_frozen_curvature_cases_and_a_unit_diagonal():
 
 
 def _frozen_jacobi_cg(apply_A, b, tol, max_iters, curvature_floor, inv_diag):
-    """Jacobi-preconditioned _cg as it was with fresh arrays per update, kept as the oracle."""
+    """Jacobi-preconditioned _cg as it was with fresh arrays per update, kept as the oracle.
+
+    Its reductions moved from np.sum to the flat dot _cg makes.
+    """
     x = np.zeros_like(b)
-    b_norm = float(np.sqrt(np.sum(b * b)))
+    b_norm = float(np.sqrt(_flat_dot(b, b)))
     if b_norm == 0.0:
         return x, "converged"
     r = b.copy()
     z = r * inv_diag
     p = z.copy()
-    rz = float(np.sum(r * z))
+    rz = _flat_dot(r, z)
     for k in range(max_iters):
         Ap = apply_A(p)
-        pAp = float(np.sum(p * Ap))
-        if pAp <= curvature_floor * float(np.sum(p * p)):
+        pAp = _flat_dot(p, Ap)
+        if pAp <= curvature_floor * _flat_dot(p, p):
             return (b if k == 0 else x), "curvature"
         alpha = rz / pAp
         x = x + alpha * p
         r = r - alpha * Ap
-        rr = float(np.sum(r * r))
+        rr = _flat_dot(r, r)
         if np.sqrt(rr) <= tol * b_norm:
             return x, "converged"
         z = r * inv_diag
-        rz_new = float(np.sum(r * z))
+        rz_new = _flat_dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     return x, "max_iters"
@@ -380,14 +392,42 @@ def test_jacobi_cg_repeats_the_frozen_iterates(kind, size, seed, tol, max_iters,
     seed=st.integers(0, 2**32 - 1),
 )
 def test_cheaper_reductions_equal_the_np_sum_expressions(shape, seed):
-    # solve_inner and _raw_energy_decrease replaced these np.sum forms.
+    # The energy decrease replaced these np.sum forms.
     rng = np.random.default_rng(seed)
     a = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal(shape)
     b = rng.standard_normal(shape)
-    assert solver_module._dot(a, b) == float(np.sum(a * b))
-    assert math.sqrt(solver_module._dot(a, a)) == float(np.sqrt(np.sum(a * a)))
     assert float(np.add.reduce(a, axis=None)) == float(np.sum(a))
     assert float(np.add.reduce(b * a, axis=None)) == float(np.sum(b * a))
+
+
+def _placed(values, offset):
+    """A copy of values that starts offset elements into a larger buffer."""
+    buffer = np.full(values.size + 8, np.nan)
+    buffer[offset : offset + values.size] = values
+    return buffer[offset : offset + values.size]
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.integers(1, 65_025), seed=st.integers(0, 2**32 - 1))
+@example(size=1, seed=0)
+@example(size=3_969, seed=1)
+@example(size=16_129, seed=2)
+@example(size=65_025, seed=3)
+def test_dot_is_the_flat_blas_dot_wherever_its_operands_sit(size, seed):
+    # The Krylov loops, the gradient norms and the slopes all reduce through
+    # _dot; its bits must not depend on the alignment of either operand.
+    rng = np.random.default_rng(seed)
+    a = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal(size)
+    b = rng.standard_normal(size)
+    expected = float(np.dot(a.flatten(), b.flatten()))
+    assert solver_module._dot(a, b) == expected
+    placed_b = [_placed(b, offset) for offset in range(8)]
+    for offset_a in range(8):
+        placed_a = _placed(a, offset_a)
+        for offset_b, view_b in enumerate(placed_b):
+            assert solver_module._dot(placed_a, view_b) == expected, (offset_a, offset_b)
+    if size == 3_969:
+        assert solver_module._dot(a.reshape(63, 63), b.reshape(63, 63)) == expected
 
 
 def test_jacobi_cg_stops_on_the_unpreconditioned_residual():
@@ -434,6 +474,83 @@ def test_jacobi_and_plain_newton_agree_to_the_tolerance(monkeypatch):
     assert jacobi.converged and plain.converged
     assert plain.matvecs > 10 * jacobi.matvecs
     assert np.max(np.abs(jacobi.u_star.values - plain.u_star.values)) <= 1e-10
+
+
+def test_the_report_counts_the_newton_steps_whose_cg_met_null_curvature(monkeypatch):
+    # On this problem the first CG ends on the curvature test and hands
+    # back the gradient; the later ones converge.
+    real = solver_module._cg
+    reasons = []
+
+    def spy(*args, **kwargs):
+        x, reason = real(*args, **kwargs)
+        reasons.append(reason)
+        return x, reason
+
+    monkeypatch.setattr(solver_module, "_cg", spy)
+    rep = solve_inner(*_ramp_sine_problem(31), SolverConfig(tol_grad=1e-6))
+    assert rep.converged
+    assert len(reasons) == rep.iterations
+    assert reasons[0] == "curvature"
+    assert rep.cg_curvature_stops == reasons.count("curvature") >= 1
+
+
+def test_a_solve_repeats_its_bits_wherever_its_inputs_sit_in_memory():
+    f, mu, e = _ramp_sine_problem(31)
+    runs = []
+    for offset in range(4):
+        forcing = _placed(f.values.ravel(), offset).reshape(f.grid.shape)
+        weights = tuple(
+            _placed(w.ravel(), 7 - offset - axis).reshape(w.shape)
+            for axis, w in enumerate(mu.per_axis)
+        )
+        placed_mu = WeightField(mu.grid, weights, mu.mu_max)
+        rep = solve_inner(GridFunction(f.grid, forcing), placed_mu, e, SolverConfig(tol_grad=1e-6))
+        runs.append(
+            (
+                rep.u_star.values.tobytes(),
+                rep.iterations,
+                rep.matvecs,
+                rep.cg_curvature_stops,
+                rep.final_grad_norm,
+                rep.energy_trace,
+                rep.weak_check,
+                rep.status,
+            )
+        )
+    assert runs[0][-1] == "converged"
+    assert all(run == runs[0] for run in runs[1:])
+
+
+def test_jacobi_cg_holds_five_vectors_beyond_what_its_products_allocate():
+    # x, r, z, p and one scratch vector, next to the one product the loop
+    # holds: an alpha*p or alpha*Ap temporary, or the last product kept
+    # while the next one is made, would add a sixth node-sized vector.
+    f, mu, e = _ramp_sine_problem(63)
+    h = f.grid.h
+    lin = energy_module._linearization(grid_module._diffs(0.01 * f.values, h), mu.per_axis, e, h)
+    inv_diag = 1.0 / energy_module._jacobi_diagonal(lin)
+    vector = 8 * f.values.size
+
+    def traced_peak(fn):
+        fn()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def product(w):
+        return energy_module._hessian_product(lin, w)
+
+    def solve():
+        return _cg(product, f.values, 1e-8, 40, 0.0, inv_diag)
+
+    assert solve()[1] == "max_iters"
+    product_peak = traced_peak(lambda: product(f.values))
+    assert product_peak <= vector + 1024
+    assert traced_peak(solve) <= 5 * vector + product_peak + 1024
 
 
 def _indicator_loop(u, f, mu, e):
