@@ -19,12 +19,12 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from .control import ControlConfig, optimize_control, tracking_objective
-from .convexity import SamplerConfig, certificate_record, estimate_modulus, grid_function_space
+from .convexity import SamplerConfig, estimate_modulus, grid_function_space
 from .energy import (
     DEFAULT_EPS_REG,
     Exponents,
@@ -40,48 +40,6 @@ from .grid import Grid, GridFunction, inner_product, read_grid_function, write_g
 from .solver import SolverConfig, solve_inner
 
 __all__ = ["RunConfig", "parse_config", "run", "main"]
-
-_COMMANDS = ("solve", "compare-ops", "convexity", "control", "exponents")
-
-#: Every config key: (type, default, allowed values or None).  A default of
-#: None leaves the key unset; the two keys in _REQUIRED must be given.
-_KEYS: dict[str, tuple[type, object, tuple[str, ...] | None]] = {
-    "command": (str, None, _COMMANDS),
-    "seed": (int, 0, None),
-    "out": (str, "out", None),
-    "dump_energy_trace": (bool, False, None),
-    "grid.n": (int, 1, None),
-    "grid.m": (int, 15, None),
-    "exponents.q": (float, None, None),
-    "exponents.p": (float, None, None),
-    "exponents.mode": (str, "strict", ("strict", "relaxed")),
-    "exponents.epsilon": (float, DEFAULT_EPS_REG, None),
-    "weight.kind": (str, "constant", ("constant", "ramp", "csv")),
-    "weight.mu0": (float, 1.0, None),
-    "weight.mu1": (float, None, None),
-    "weight.path": (str, None, None),
-    "forcing.kind": (str, "constant", ("constant", "preset", "csv")),
-    "forcing.value": (float, 1.0, None),
-    "forcing.preset": (str, "sine", ("sine", "bump")),
-    "forcing.path": (str, None, None),
-    "solver.tol": (float, 1e-6, None),
-    "solver.max_iters": (int, 50_000, None),
-    "solver.armijo": (float, 1e-4, None),
-    "solver.backtrack": (float, 0.5, None),
-    "control.alpha": (float, 1e-6, None),
-    "control.tol_reduced": (float, 1e-5, None),
-    "control.max_outer": (int, 10_000, None),
-    "control.cg_tol": (float, 1e-10, None),
-    "control.cg_max": (int, 0, None),
-    "convexity.trials": (int, 1000, None),
-    "convexity.gamma": (float, None, None),
-}
-
-_REQUIRED = ("command", "exponents.q")
-
-#: Lower bounds of the keys that no record checks when it is built.
-_AT_LEAST = {"seed": 0, "convexity.trials": 1, "convexity.gamma": 1.0}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -365,8 +323,17 @@ def _cmd_convexity(config: RunConfig) -> int:
     )
     with _section("convexity"):
         cert = estimate_modulus(functional, gamma, sampler)
-    with open(_artifact(config, "certificate.txt"), "w", encoding="ascii", newline="\n") as fh:
-        fh.write(certificate_record(cert))
+    _write_record(
+        _artifact(config, "certificate.txt"),
+        [
+            ("seed", cert.seed),
+            ("N", cert.trials),
+            ("gamma", cert.gamma),
+            ("c_estimate", cert.c_estimate),
+            ("failures", cert.failures),
+            ("worst_defect", cert.worst_defect),
+        ],
+    )
     return 0
 
 
@@ -408,21 +375,61 @@ def _cmd_control(config: RunConfig) -> int:
     return 0 if report.converged else 2
 
 
+#: Each command's function, in the order the choices are listed.
+_COMMANDS: dict[str, Callable[[RunConfig], int]] = {
+    "solve": _cmd_solve,
+    "compare-ops": _cmd_compare_ops,
+    "convexity": _cmd_convexity,
+    "control": _cmd_control,
+    "exponents": _cmd_exponents,
+}
+
+#: Every config key: (type, default, allowed values or None).  A default of
+#: None leaves the key unset; the two keys in _REQUIRED must be given.
+_KEYS: dict[str, tuple[type, object, tuple[str, ...] | None]] = {
+    "command": (str, None, tuple(_COMMANDS)),
+    "seed": (int, 0, None),
+    "out": (str, "out", None),
+    "dump_energy_trace": (bool, False, None),
+    "grid.n": (int, 1, None),
+    "grid.m": (int, 15, None),
+    "exponents.q": (float, None, None),
+    "exponents.p": (float, None, None),
+    "exponents.mode": (str, "strict", ("strict", "relaxed")),
+    "exponents.epsilon": (float, DEFAULT_EPS_REG, None),
+    "weight.kind": (str, "constant", ("constant", "ramp", "csv")),
+    "weight.mu0": (float, 1.0, None),
+    "weight.mu1": (float, None, None),
+    "weight.path": (str, None, None),
+    "forcing.kind": (str, "constant", ("constant", "preset", "csv")),
+    "forcing.value": (float, 1.0, None),
+    "forcing.preset": (str, "sine", ("sine", "bump")),
+    "forcing.path": (str, None, None),
+    "solver.tol": (float, 1e-6, None),
+    "solver.max_iters": (int, 50_000, None),
+    "solver.armijo": (float, 1e-4, None),
+    "solver.backtrack": (float, 0.5, None),
+    "control.alpha": (float, 1e-6, None),
+    "control.tol_reduced": (float, 1e-5, None),
+    "control.max_outer": (int, 10_000, None),
+    "control.cg_tol": (float, 1e-10, None),
+    "control.cg_max": (int, 0, None),
+    "convexity.trials": (int, 1000, None),
+    "convexity.gamma": (float, None, None),
+}
+
+_REQUIRED = ("command", "exponents.q")
+
+#: Lower bounds of the keys that no record checks when it is built.
+_AT_LEAST = {"seed": 0, "convexity.trials": 1, "convexity.gamma": 1.0}
+
+
 def run(config: RunConfig) -> int:
     """Dispatch one validated config; returns the process exit status."""
     command = config["command"]
     started = time.perf_counter()
     try:
-        if command == "exponents":
-            status = _cmd_exponents(config)
-        elif command == "solve":
-            status = _cmd_solve(config)
-        elif command == "compare-ops":
-            status = _cmd_compare_ops(config)
-        elif command == "convexity":
-            status = _cmd_convexity(config)
-        else:
-            status = _cmd_control(config)
+        status = _COMMANDS[command](config)
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

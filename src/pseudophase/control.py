@@ -68,6 +68,17 @@ __all__ = [
 ]
 
 
+#: Objective.self_test draws _PROBES probes, differences with step _STEP and
+#: fails above the relative error _REL_TOL.
+_PROBES = 3
+_STEP = 1e-6
+_REL_TOL = 1e-6
+
+#: The outer line search's Armijo constant and step shrink factor.
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
+
+
 def _probe_fields(grid: Grid, count: int) -> np.ndarray:
     """count fixed fields on grid, shape (count, *grid.shape), entries in [-1, 1).
 
@@ -94,52 +105,40 @@ class Objective:
     grad_u: Callable[[GridFunction, GridFunction], GridFunction]
     grad_f: Callable[[GridFunction, GridFunction], GridFunction]
 
-    def self_test(
-        self,
-        grid: Grid,
-        probes: int = 3,
-        step: float = 1e-6,
-        rel_tol: float = 1e-6,
-    ) -> float:
+    def self_test(self, grid: Grid) -> float:
         """Check both gradients against central differences of evaluate.
 
-        Each probe draws f, u, then a direction for u and one for f from
-        _probe_fields.  Returns the worst relative error seen; raises
-        ValueError when it exceeds rel_tol.
+        Each of _PROBES probes draws f, u, then a direction for u and one for
+        f from _probe_fields, and differences with step _STEP.  Returns the
+        worst relative error seen; raises ValueError when it exceeds _REL_TOL.
         """
-        if probes < 1:
-            raise ValueError(f"probes must be >= 1, got {probes}")
-        if not (step > 0.0 and math.isfinite(step)):
-            raise ValueError(f"step must be finite and positive, got {step}")
-        if not (rel_tol >= 0.0 and math.isfinite(rel_tol)):
-            raise ValueError(f"rel_tol must be finite and >= 0, got {rel_tol}")
-        fields = iter(_probe_fields(grid, 4 * probes))
+        fields = iter(_probe_fields(grid, 4 * _PROBES))
         worst = 0.0
-        for _ in range(probes):
+        for _ in range(_PROBES):
             f = GridFunction(grid, next(fields))
             u = GridFunction(grid, next(fields))
             for which in ("u", "f"):
                 w = GridFunction(grid, next(fields))
                 if which == "u":
-                    plus = self.evaluate(f, u + step * w)
-                    minus = self.evaluate(f, u - step * w)
+                    plus = self.evaluate(f, u + _STEP * w)
+                    minus = self.evaluate(f, u - _STEP * w)
                     claimed = inner_product(self.grad_u(f, u), w)
                 else:
-                    plus = self.evaluate(f + step * w, u)
-                    minus = self.evaluate(f - step * w, u)
+                    plus = self.evaluate(f + _STEP * w, u)
+                    minus = self.evaluate(f - _STEP * w, u)
                     claimed = inner_product(self.grad_f(f, u), w)
-                fd = (plus - minus) / (2.0 * step)
+                fd = (plus - minus) / (2.0 * _STEP)
                 # The difference of two O(|E|) values carries round-off of
                 # about eps * |E|, so the quotient can only be trusted down
                 # to that floor; ignore disagreement below it.
-                noise = 64.0 * np.finfo(float).eps * (abs(plus) + abs(minus) + 1.0) / step
+                noise = 64.0 * np.finfo(float).eps * (abs(plus) + abs(minus) + 1.0) / _STEP
                 denom = max(abs(fd), abs(claimed), 1e-300)
                 err = max(abs(fd - claimed) - noise, 0.0) / denom
                 worst = max(worst, err)
-        if worst > rel_tol:
+        if worst > _REL_TOL:
             raise ValueError(
                 f"objective gradients disagree with finite differences: "
-                f"relative error {worst:.3e} > {rel_tol:.1e}"
+                f"relative error {worst:.3e} > {_REL_TOL:.1e}"
             )
         return worst
 
@@ -170,8 +169,6 @@ class ControlConfig:
     cg_tol: float = 1e-10
     cg_max: int = 0  # 0 means 10 * number of nodes
     alpha: float = 1e-6
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
 
     def __post_init__(self) -> None:
         if not (self.tol_reduced > 0.0 and math.isfinite(self.tol_reduced)):
@@ -188,10 +185,6 @@ class ControlConfig:
             )
         if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError(f"armijo_c must lie in (0,1), got {self.armijo_c}")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError(f"backtrack must lie in (0,1), got {self.backtrack}")
 
 
 @dataclass(frozen=True)
@@ -222,6 +215,8 @@ class SolutionOperator:
     accepted.  solves counts the solves it ran and matvecs their Newton
     products, failed ones included; adjoint_matvecs the products of the
     linearized solves at its states (_hessian_solve with psi = self).
+    linearization keeps the stencil record of the last state it was asked
+    about.
     """
 
     def __init__(self, mu: WeightField, e: Exponents, inner: SolverConfig):
@@ -229,6 +224,7 @@ class SolutionOperator:
         self.exponents = e
         self.inner = inner
         self._last: tuple[bytes, float, SolveReport] | None = None
+        self._lin: tuple[GridFunction, _Linearization] | None = None
         self.solves = 0
         self.matvecs = 0
         self.adjoint_matvecs = 0
@@ -256,10 +252,12 @@ class SolutionOperator:
     ) -> GridFunction:
         return self.report(f, warm, tol).u_star
 
-
-def _linearize(u: GridFunction, mu: WeightField, e: Exponents) -> _Linearization:
-    """The stencil record of the Hessian at the state u."""
-    return _linearization(_diffs(u.values, u.grid.h), mu.per_axis, e, u.grid.h)
+    def linearization(self, u: GridFunction) -> _Linearization:
+        """The stencil record of the Hessian at the state u, built once per state object."""
+        if self._lin is None or self._lin[0] is not u:
+            h = u.grid.h
+            self._lin = (u, _linearization(_diffs(u.values, h), self.mu.per_axis, self.exponents, h))
+        return self._lin[1]
 
 
 def _hessian_solve(
@@ -317,7 +315,7 @@ def gateaux_derivative(
 ) -> GridFunction:
     """Directional derivative of psi at f along h: solve H(psi(f)) w = h."""
     psi = cache or SolutionOperator(mu, e, cfg.inner)
-    return _hessian_solve(_linearize(psi(f), mu, e), h, e, cfg, psi)
+    return _hessian_solve(psi.linearization(psi(f)), h, e, cfg, psi)
 
 
 def reduced_gradient(
@@ -329,22 +327,10 @@ def reduced_gradient(
     cache: SolutionOperator | None = None,
 ) -> GridFunction:
     """Adjoint gradient of f -> obj.evaluate(f, psi(f)): one hessian solve."""
-    return _reduced_gradient(f, obj, mu, e, cfg, cache or SolutionOperator(mu, e, cfg.inner))[0]
-
-
-def _reduced_gradient(
-    f: GridFunction,
-    obj: Objective,
-    mu: WeightField,
-    e: Exponents,
-    cfg: ControlConfig,
-    psi: SolutionOperator,
-) -> tuple[GridFunction, _Linearization]:
-    """reduced_gradient over psi, and the stencil record of its state psi(f)."""
+    psi = cache or SolutionOperator(mu, e, cfg.inner)
     u = psi(f)
-    lin = _linearize(u, mu, e)
-    lam = _hessian_solve(lin, obj.grad_u(f, u), e, cfg, psi)
-    return obj.grad_f(f, u) + lam, lin
+    lam = _hessian_solve(psi.linearization(u), obj.grad_u(f, u), e, cfg, psi)
+    return obj.grad_f(f, u) + lam
 
 
 #: A trial f - t*d is solved to inner tolerance min(inner.tol_grad,
@@ -361,10 +347,8 @@ def _gauss_newton_direction(
     u: GridFunction,
     g: GridFunction,
     obj: Objective,
-    mu: WeightField,
     e: Exponents,
     cfg: ControlConfig,
-    lin: _Linearization,
     psi: SolutionOperator,
 ) -> tuple[np.ndarray, int]:
     """Truncated CG on M d = g from d = 0; returns (d, products of M).
@@ -373,9 +357,10 @@ def _gauss_newton_direction(
     docstring).  CG stops at the relative residual min(0.5, sqrt|g|_2), after
     n_nodes products, or at the first direction of non-positive curvature,
     which hands back g itself when it is the first one.  Every S solve runs
-    over lin, the stencil record of u, to max(cg_tol, _S_FRACTION * tol).
+    over psi's stencil record of u, to max(cg_tol, _S_FRACTION * tol).
     """
     grid = f.grid
+    lin = psi.linearization(u)
     gu0, gf0 = obj.grad_u(f, u), obj.grad_f(f, u)
     tol = min(0.5, math.sqrt(math.sqrt(_dot(g.values, g.values))))
     s_tol = max(cfg.cg_tol, _S_FRACTION * tol)
@@ -419,7 +404,7 @@ def optimize_control(
     f = f0
     u = psi(f)
     j_val = obj.evaluate(f, u)
-    g, lin = _reduced_gradient(f, obj, mu, e, cfg, psi)
+    g = reduced_gradient(f, obj, mu, e, cfg, psi)
     trace = [j_val]
     cell = grid.h**grid.n
     status = "max_outer"
@@ -434,13 +419,13 @@ def optimize_control(
             break
 
         before = psi.adjoint_matvecs
-        d, products = _gauss_newton_direction(f, u, g, obj, mu, e, cfg, lin, psi)
+        d, products = _gauss_newton_direction(f, u, g, obj, e, cfg, psi)
         model_cg_iters += products
         model_matvecs += psi.adjoint_matvecs - before
         slope = _dot(g.values, d)
         if not slope > 0.0:
             d, slope = g.values, _dot(g.values, g.values)
-        decrease = cfg.armijo_c * cell * slope
+        decrease = _ARMIJO_C * cell * slope
 
         def trial(t: float) -> tuple[float, tuple[GridFunction, GridFunction] | None]:
             step = t * d
@@ -455,14 +440,15 @@ def optimize_control(
                 return math.inf, None
             return obj.evaluate(f_trial, u_trial), (f_trial, u_trial)
 
-        accepted = _backtrack(trial, 1.0, cfg.backtrack, j_val, decrease)
+        accepted = _backtrack(trial, 1.0, _BACKTRACK, j_val, decrease)
         if accepted is None:
             status = "stalled"
             break
         _, j_trial, (f_trial, u_trial) = accepted
 
-        # The accepted trial was the last solve: psi replays u_trial, so lin is its record.
-        g, lin = _reduced_gradient(f_trial, obj, mu, e, cfg, psi)
+        # The accepted trial was the last solve: psi replays u_trial, and its record
+        # serves the next direction.
+        g = reduced_gradient(f_trial, obj, mu, e, cfg, psi)
         f, u, j_val = f_trial, u_trial, j_trial
         trace.append(j_val)
         outer += 1

@@ -49,7 +49,6 @@ __all__ = [
     "run_trial",
     "estimate_modulus",
     "check_sum_lemma",
-    "certificate_record",
 ]
 
 #: Relative round-off allowance for the pass/fail verdict of a single trial.
@@ -59,6 +58,10 @@ TRIAL_TOL_REL = 1e-10
 _THETA_PROBES = (0.5, 0.01, 0.99)
 
 _BISECTION_ITERS = 40
+
+#: The band of target norms grid_function_space draws from.
+_NORM_LOW = 0.1
+_NORM_HIGH = 10.0
 
 #: Trials drawn and evaluated together.  A small chunk keeps its edge
 #: arrays in cache and the memory flat: on a 31x31 grid, chunks of 16 ran
@@ -143,22 +146,16 @@ def real_line_space(scale: float = 1.0) -> SampledSpace:
     return SampledSpace(sample=sample, norm=np.abs)
 
 
-def grid_function_space(
-    grid: Grid, p: float, norm_low: float = 0.1, norm_high: float = 10.0
-) -> SampledSpace:
+def grid_function_space(grid: Grid, p: float) -> SampledSpace:
     """Gaussian nodal arrays rescaled so sobolev_norm(., p) lands in a band.
 
-    The target norm is log-uniform in [norm_low, norm_high], which exercises
-    both the small-gradient and the large-gradient regime of the two phases.
-    Each generator draws its point's values, then its target norm.
+    The target norm is log-uniform in [_NORM_LOW, _NORM_HIGH], which
+    exercises both the small-gradient and the large-gradient regime of the
+    two phases.  Each generator draws its point's values, then its target norm.
     """
     if not 1.0 <= p < math.inf:
         raise ValueError(f"norm exponent p must be finite and >= 1, got {p}")
-    if not 0.0 < norm_low < math.inf:
-        raise ValueError(f"norm_low must be positive and finite, got {norm_low}")
-    if not norm_low < norm_high < math.inf:
-        raise ValueError(f"norm_high must be finite and above norm_low = {norm_low}, got {norm_high}")
-    log_low, log_high = np.log(norm_low), np.log(norm_high)
+    log_low, log_high = np.log(_NORM_LOW), np.log(_NORM_HIGH)
 
     def norm(points: np.ndarray) -> np.ndarray:
         return _sobolev_norms(points, grid, p)
@@ -448,15 +445,3 @@ def check_sum_lemma(
         worst_defect=float(defects.min()),
     )
 
-
-def certificate_record(cert: ConvexityCertificate) -> str:
-    """Structured text record of a certificate, one field per line."""
-    lines = [
-        f"seed = {cert.seed}",
-        f"N = {cert.trials}",
-        f"gamma = {cert.gamma:.17g}",
-        f"c_estimate = {cert.c_estimate:.17g}",
-        f"failures = {cert.failures}",
-        f"worst_defect = {cert.worst_defect:.17g}",
-    ]
-    return "\n".join(lines) + "\n"

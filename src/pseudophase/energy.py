@@ -117,10 +117,6 @@ class Exponents:
                     f"strict coupling 1/p = 1/q - 1/n violated by {residual:.3e}"
                 )
 
-    @property
-    def is_quadratic(self) -> bool:
-        return self.p == 2.0 and self.q == 2.0
-
 
 def validate_exponents(
     q: float,
@@ -249,36 +245,17 @@ class WeightField:
         Identically zero on the left half of the box and linear on the
         right half, so both growth regimes are active at once.
         """
+        h, lead = grid.h, (-1,) + (1,) * (grid.n - 1)
         arrays = []
         for axis in range(grid.n):
-            mids = cls._edge_midpoints(grid, axis)
-            x = mids[0]
-            arrays.append(mu_max * np.maximum(0.0, 2.0 * x - 1.0))
-        return cls(grid, tuple(arrays), mu_max)
-
-    @staticmethod
-    def _edge_midpoints(grid: Grid, axis: int) -> list[np.ndarray]:
-        """Coordinate arrays (broadcast to edge shape) of edge midpoints."""
-        h = grid.h
-        coords = []
-        for a in range(grid.n):
-            if a == axis:
-                c = h * (np.arange(grid.m + 1, dtype=float) + 0.5)
+            # x at the edge midpoints: half-integer along axis 0, nodes across it.
+            if axis == 0:
+                x = h * (np.arange(grid.m + 1, dtype=float) + 0.5)
             else:
-                c = h * np.arange(1, grid.m + 1, dtype=float)
-            coords.append(c)
-        mesh = np.meshgrid(*coords, indexing="ij")
-        return mesh
-
-    def lipschitz_quotient(self) -> float:
-        """Largest |mu(e) - mu(e')| / h over adjacent same-axis edge pairs."""
-        h = self.grid.h
-        worst = 0.0
-        for arr in self.per_axis:
-            for axis in range(arr.ndim):
-                diffs = np.abs(np.diff(arr, axis=axis)) / h
-                worst = max(worst, float(diffs.max(initial=0.0)))
-        return worst
+                x = h * np.arange(1, grid.m + 1, dtype=float)
+            ramp = mu_max * np.maximum(0.0, 2.0 * x - 1.0)
+            arrays.append(np.broadcast_to(ramp.reshape(lead), grid.edge_shape(axis)))
+        return cls(grid, tuple(arrays), mu_max)
 
 
 @dataclass(frozen=True)

@@ -117,21 +117,6 @@ class GridFunction:
         mesh = np.meshgrid(*axes, indexing="ij")
         return cls(grid, np.asarray(fn(*mesh), dtype=float))
 
-    def value_at(self, *index: int) -> float:
-        """Value at a 1-based node multi-index, boundary layers included.
-
-        Indices run 0..m+1 per axis; index 0 and m+1 address the Dirichlet
-        boundary and always evaluate to 0.
-        """
-        if len(index) != self.grid.n:
-            raise ValueError(f"expected {self.grid.n} indices, got {len(index)}")
-        for k in index:
-            if not 0 <= k <= self.grid.m + 1:
-                raise IndexError(f"node index {k} outside 0..{self.grid.m + 1}")
-        if any(k == 0 or k == self.grid.m + 1 for k in index):
-            return 0.0
-        return float(self.values[tuple(k - 1 for k in index)])
-
     def __add__(self, other: GridFunction) -> GridFunction:
         self._check_compatible(other)
         return GridFunction(self.grid, self.values + other.values)

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 
 import numpy as np
 import pytest
@@ -798,7 +799,7 @@ print(json.dumps([status, added, "numpy.random" in sys.modules]))
 """
 
 
-@pytest.mark.parametrize("command", ["solve", "control", "compare-ops", "exponents"])
+@pytest.mark.parametrize("command", ["solve", "control", "convexity", "compare-ops", "exponents"])
 def test_an_op_imports_nothing_and_only_convexity_loads_numpy_random(tmp_path, command):
     # The test process has numpy.random loaded already, so each run is a new one.
     cfg = _write(
@@ -807,7 +808,7 @@ def test_an_op_imports_nothing_and_only_convexity_loads_numpy_random(tmp_path, c
         f"command = {command}\ngrid.n = 2\ngrid.m = 5\nexponents.q = 4/3\n"
         "exponents.epsilon = 1e-4\nweight.kind = constant\nweight.mu0 = 0.5\n"
         "forcing.kind = preset\nforcing.preset = sine\nsolver.tol = 1e-9\n"
-        "control.alpha = 1e-4\ncontrol.tol_reduced = 1e-6\n",
+        "control.alpha = 1e-4\ncontrol.tol_reduced = 1e-6\nconvexity.trials = 20\n",
     )
     src = os.path.dirname(os.path.dirname(pseudophase.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -822,6 +823,35 @@ def test_an_op_imports_nothing_and_only_convexity_loads_numpy_random(tmp_path, c
     assert run.returncode == 0, run.stderr
     status, added, numpy_random = json.loads(run.stdout.splitlines()[-1])
     assert status == 0
+    if command in ("solve", "control", "convexity"):
+        # The command reached the wrapped entry point, not one bound at import.
+        assert added is not None
     if command in ("solve", "control"):
         assert added == []
-    assert not numpy_random
+    assert numpy_random == (command == "convexity")
+
+
+#: pseudophase.__all__, in order: the package's public surface.
+_PUBLIC_NAMES = [
+    "Grid", "GridFunction", "EdgeField", "forward_diff", "neg_divergence", "quadrature",
+    "inner_product", "sobolev_norm", "write_grid_function", "read_grid_function",
+    "Exponents", "WeightField", "EnergyBreakdown", "validate_exponents", "energy",
+    "energy_gradient", "apply_pseudo_operator", "apply_divergence_operator", "weak_residual",
+    "hessian_apply", "HyperconvexityTrial", "ConvexityCertificate", "SampledSpace",
+    "SamplerConfig", "real_line_space", "grid_function_space", "run_trial", "estimate_modulus",
+    "check_sum_lemma", "SolverConfig", "SolveReport", "solve_inner", "Objective",
+    "ControlConfig", "ControlReport", "SolutionOperator", "tracking_objective",
+    "gateaux_derivative", "reduced_gradient", "optimize_control", "ConfigError",
+    "SingularLinearizationError", "CGBreakdownError", "InnerSolveError",
+]
+
+
+def test_the_public_surface_is_pinned_and_every_name_resolves():
+    assert pseudophase.__all__ == _PUBLIC_NAMES
+    namespace = {}
+    exec("from pseudophase import *", namespace)
+    for name in _PUBLIC_NAMES:
+        value = getattr(pseudophase, name)
+        assert namespace[name] is value and not isinstance(value, types.ModuleType)
+    # The function, not the submodule of the same name.
+    assert pseudophase.energy is sys.modules["pseudophase.energy"].energy

@@ -29,7 +29,7 @@ from pseudophase import (
     validate_exponents,
 )
 from pseudophase import control, solver
-from pseudophase.control import _hessian_solve, _linearize
+from pseudophase.control import _hessian_solve
 from pseudophase.grid import inner_product
 from pseudophase.solver import _cg
 
@@ -46,6 +46,11 @@ def _tight_inner():
 
 def _cfg(**kw):
     return ControlConfig(inner=_tight_inner(), **kw)
+
+
+def _record(u, mu, e):
+    """The stencil record of the Hessian at u, as the control loop builds it."""
+    return SolutionOperator(mu, e, SolverConfig()).linearization(u)
 
 
 def test_tracking_objective_self_test_passes():
@@ -107,9 +112,9 @@ def test_self_test_draws_f_u_and_the_two_directions_in_order():
         return record
 
     spy = Objective(evaluate=good.evaluate, grad_u=grad("u"), grad_f=grad("f"))
-    spy.self_test(g, probes=2)
-    fields = control._probe_fields(g, 8)
-    assert [which for which, _, _ in seen] == ["u", "f", "u", "f"]
+    spy.self_test(g)
+    fields = control._probe_fields(g, 12)
+    assert [which for which, _, _ in seen] == ["u", "f"] * 3
     for k, (_, f, u) in enumerate(seen):
         probe = 4 * (k // 2)
         assert np.array_equal(f, fields[probe]) and np.array_equal(u, fields[probe + 1])
@@ -178,27 +183,6 @@ def test_self_test_rejects_gradients_right_only_where_u_equals_f():
     obj = Objective(evaluate=evaluate, grad_u=zero, grad_f=zero)
     with pytest.raises(ValueError, match="relative error"):
         obj.self_test(g)
-
-
-@pytest.mark.parametrize(
-    "kwargs, name",
-    [
-        ({"probes": 0}, "probes"),
-        ({"probes": -1}, "probes"),
-        ({"step": 0.0}, "step"),
-        ({"step": -1e-6}, "step"),
-        ({"step": math.inf}, "step"),
-        ({"step": math.nan}, "step"),
-        ({"rel_tol": -1e-6}, "rel_tol"),
-        ({"rel_tol": math.inf}, "rel_tol"),
-        ({"rel_tol": math.nan}, "rel_tol"),
-    ],
-)
-def test_self_test_rejects_arguments_that_test_nothing(kwargs, name):
-    g = Grid(1, 5)
-    obj = tracking_objective(GridFunction.zeros(g), alpha=0.1)
-    with pytest.raises(ValueError, match=f"^{name} must be"):
-        obj.self_test(g, **kwargs)
 
 
 def test_tracking_objective_rejects_negative_alpha():
@@ -341,7 +325,7 @@ def test_cg_guard_raises_on_negative_curvature(monkeypatch):
     real = control._hessian_product
     monkeypatch.setattr(control, "_hessian_product", lambda lin, w: -real(lin, w))
     with pytest.raises(CGBreakdownError, match="curvature"):
-        _hessian_solve(_linearize(u, mu, TWO_PHASE), GridFunction.full(g, 1.0), TWO_PHASE, _cfg())
+        _hessian_solve(_record(u, mu, TWO_PHASE), GridFunction.full(g, 1.0), TWO_PHASE, _cfg())
 
 
 def test_cg_raises_when_iterations_run_out():
@@ -355,7 +339,7 @@ def test_cg_raises_when_iterations_run_out():
     u = GridFunction(g, np.sin(np.pi * g.node_coords()[0]))
     rhs = GridFunction(g, np.arange(1.0, 9.0))
     with pytest.raises(CGBreakdownError, match="did not reach"):
-        _hessian_solve(_linearize(u, mu, TWO_PHASE), rhs, TWO_PHASE, _cfg(cg_tol=1e-14, cg_max=2))
+        _hessian_solve(_record(u, mu, TWO_PHASE), rhs, TWO_PHASE, _cfg(cg_tol=1e-14, cg_max=2))
 
 
 def _indicator_diagonal(u, mu, e):
@@ -410,10 +394,10 @@ def test_adjoint_solve_equals_the_hessian_apply_reference(n, m, pq, eps_reg, wei
     expected, reason, products = _reference_hessian_solve(u, rhs, mu, e, cfg)
     with mock.patch.object(control, "_hessian_product", wraps=control._hessian_product) as spy:
         if reason == "converged":
-            assert np.array_equal(_hessian_solve(_linearize(u, mu, e), rhs, e, cfg).values, expected)
+            assert np.array_equal(_hessian_solve(_record(u, mu, e), rhs, e, cfg).values, expected)
         else:
             with pytest.raises(CGBreakdownError):
-                _hessian_solve(_linearize(u, mu, e), rhs, e, cfg)
+                _hessian_solve(_record(u, mu, e), rhs, e, cfg)
     assert spy.call_count == products
 
 
@@ -430,7 +414,7 @@ def test_one_adjoint_solve_builds_the_linearization_once(monkeypatch):
     )
     spy = mock.Mock(wraps=control._hessian_product)
     monkeypatch.setattr(control, "_hessian_product", spy)
-    _hessian_solve(_linearize(u, mu, e), GridFunction.full(g, 1.0), e, _cfg())
+    _hessian_solve(_record(u, mu, e), GridFunction.full(g, 1.0), e, _cfg())
     assert spy.call_count > g.n
     assert len(built) == g.n
 
@@ -441,9 +425,9 @@ def test_singular_linearization_raises_only_when_cg_needs_a_product():
     e = Exponents(3.0, 2.0, 1, 0.0)
     zero = GridFunction.zeros(g)
     # Every coefficient vanishes at u = 0; a zero rhs makes no product.
-    assert not _hessian_solve(_linearize(zero, mu, e), zero, e, _cfg()).values.any()
+    assert not _hessian_solve(_record(zero, mu, e), zero, e, _cfg()).values.any()
     with pytest.raises(SingularLinearizationError, match="eps_reg = 0"):
-        _hessian_solve(_linearize(zero, mu, e), GridFunction.full(g, 1.0), e, _cfg())
+        _hessian_solve(_record(zero, mu, e), GridFunction.full(g, 1.0), e, _cfg())
 
 
 def test_reduced_gradient_without_state_coupling_is_grad_f():
@@ -756,49 +740,85 @@ def test_model_s_solves_run_at_a_fraction_of_the_model_tolerance(monkeypatch):
         assert all(s_tol > cfg.cg_tol for s_tol, _, _ in nested)
 
 
-def test_gauss_newton_direction_runs_every_s_solve_over_the_record_it_is_handed(monkeypatch):
+def test_solution_operator_builds_one_record_per_state_object(monkeypatch):
+    obj, g, mu, e, cfg = _tracking_case()
+    psi = SolutionOperator(mu, e, cfg.inner)
+    u = psi(GridFunction.zeros(g))
+    real = control._linearization
+    built = []
+    monkeypatch.setattr(control, "_linearization", lambda *args: built.append(real(*args)) or built[-1])
+    lin = psi.linearization(u)
+    assert psi.linearization(u) is lin and built == [lin]
+    copy = GridFunction(g, u.values.copy())
+    assert psi.linearization(copy) is not lin and len(built) == 2
+    np.testing.assert_array_equal(built[1].diag, lin.diag)
+
+
+def test_gauss_newton_direction_runs_every_s_solve_over_the_record_of_its_state(monkeypatch):
     obj, g, mu, e, cfg = _tracking_case()
     psi = SolutionOperator(mu, e, cfg.inner)
     f = GridFunction.zeros(g)
     u = psi(f)
-    grad, lin = control._reduced_gradient(f, obj, mu, e, cfg, psi)
-    assert np.array_equal(grad.values, reduced_gradient(f, obj, mu, e, cfg, cache=psi).values)
+    grad = reduced_gradient(f, obj, mu, e, cfg, cache=psi)
+    lin = psi.linearization(u)
     real = control._linearization
     built = []
     monkeypatch.setattr(control, "_linearization", lambda *args: built.append(real(*args)) or built[-1])
     solves = mock.Mock(wraps=control._hessian_solve)
     monkeypatch.setattr(control, "_hessian_solve", solves)
-    _, products = control._gauss_newton_direction(f, u, grad, obj, mu, e, cfg, lin, psi)
+    _, products = control._gauss_newton_direction(f, u, grad, obj, e, cfg, psi)
     assert not built
     assert solves.call_count == 2 * products > 0
     assert all(call.args[0] is lin for call in solves.call_args_list)
 
 
-def test_optimize_control_builds_one_record_per_accepted_state(monkeypatch):
-    # The gradient at each accepted state hands its record to the next
-    # direction, which is taken at that very state: psi replays u_trial.
+def test_optimize_control_builds_one_record_and_one_gradient_per_accepted_state(monkeypatch):
+    # The public gradient at each accepted state builds that state's record,
+    # and the next direction, taken at that very state, reuses it: psi
+    # replays u_trial.
     obj, g, mu, e, cfg = _tracking_case()
-    real_linearize = control._linearize
-    states = {}  # id(record) -> (the state it linearizes, the record)
+    real_linearization = control._linearization
+    records = []
+    monkeypatch.setattr(
+        control,
+        "_linearization",
+        lambda *args: records.append(real_linearization(*args)) or records[-1],
+    )
+    real_gradient = control.reduced_gradient
+    built_per_gradient = []
 
-    def linearize(u, *args):
-        lin = real_linearize(u, *args)
-        states[id(lin)] = (u, lin)
-        return lin
+    def gradient(*args, **kwargs):
+        before = len(records)
+        out = real_gradient(*args, **kwargs)
+        built_per_gradient.append(len(records) - before)
+        return out
 
-    monkeypatch.setattr(control, "_linearize", linearize)
+    monkeypatch.setattr(control, "reduced_gradient", gradient)
+    real_solve = control._hessian_solve
+    stale = []
+
+    def solve(lin, *args):
+        stale.append(lin is not records[-1])
+        return real_solve(lin, *args)
+
+    monkeypatch.setattr(control, "_hessian_solve", solve)
     real_direction = control._gauss_newton_direction
-    directions = []
+    reused = []
 
-    def direction(f, u, grad, obj, mu, e, cfg, lin, psi):
-        directions.append(states[id(lin)][0] is u)
-        return real_direction(f, u, grad, obj, mu, e, cfg, lin, psi)
+    def direction(f, u, grad, obj, e, cfg, psi):
+        before = len(records)
+        reused.append(psi.linearization(u) is records[-1] and len(records) == before)
+        return real_direction(f, u, grad, obj, e, cfg, psi)
 
     monkeypatch.setattr(control, "_gauss_newton_direction", direction)
     rep = optimize_control(obj, GridFunction.zeros(g), mu, e, cfg)
     assert rep.converged and rep.outer_iters >= 1
-    assert len(states) == 1 + rep.outer_iters
-    assert directions == [True] * rep.outer_iters
+    # One public gradient, and one record, at f0 and at every accepted state.
+    assert built_per_gradient == [1] * (1 + rep.outer_iters)
+    assert len(records) == 1 + rep.outer_iters
+    assert reused == [True] * rep.outer_iters
+    # Every adjoint and model S solve runs over the newest state's record.
+    assert stale and not any(stale)
 
 
 def test_control_config_validation():

@@ -510,11 +510,6 @@ def test_exponents_strict_coupling_holds():
         Exponents(3.9, 4.0 / 3.0, 2, 1e-6, strict_sobolev=True)
 
 
-def test_is_quadratic_flag():
-    assert Exponents(2.0, 2.0, 2, 0.0).is_quadratic
-    assert not TWO_PHASE_2D.is_quadratic
-
-
 def test_validate_exponents_strict_derives_p():
     e = validate_exponents(4.0 / 3.0, 2)
     assert e.p == 4.0
@@ -546,6 +541,48 @@ def test_validate_exponents_relaxed():
         validate_exponents(1.2, 1, mode="loose", p_override=3.0)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        (
+            (_NAN, 2),
+            {},
+            "strict coupling requires q < n (got q=nan, n=2); "
+            "1/p = 1/q - 1/n has no admissible p otherwise",
+        ),
+        ((1.0, 2), {}, "q must exceed 1, got 1.0"),
+        ((0.0, 2), {}, "q must exceed 1, got 0.0"),
+        ((-1.0, 2), {}, "q must exceed 1, got -1.0"),
+        ((4.0 / 3.0, 2, "strict", _NAN), {}, "p must be finite, got nan"),
+        ((4.0 / 3.0, 2, "strict", _INF), {}, "p must be finite, got inf"),
+        ((4.0 / 3.0, 2, "relaxed", _NAN), {}, "p must be finite, got nan"),
+        ((4.0 / 3.0, 2, "relaxed", _INF), {}, "p must be finite, got inf"),
+        ((4.0 / 3.0, 3, "strict"), {}, "dimension must be 1 or 2, got 3"),
+        ((4.0 / 3.0, 3, "relaxed", 4.0), {}, "dimension must be 1 or 2, got 3"),
+        ((4.0 / 3.0, 2, "strict"), {"eps_reg": -1.0}, "eps_reg must be >= 0, got -1.0"),
+        (
+            (4.0 / 3.0, 2, "strict"),
+            {"eps_reg": 1e200},
+            "eps_reg**2 must be finite, got eps_reg=1e+200",
+        ),
+        ((4.0 / 3.0, 2, "relaxed", 4.0), {"eps_reg": -1.0}, "eps_reg must be >= 0, got -1.0"),
+        (
+            (4.0 / 3.0, 2, "relaxed", 4.0),
+            {"eps_reg": 1e200},
+            "eps_reg**2 must be finite, got eps_reg=1e+200",
+        ),
+    ],
+)
+def test_validate_exponents_messages_are_pinned(args, kwargs, message):
+    # The CLI prints these after "exponents: "; each names the bad input.
+    with pytest.raises(ValueError) as err:
+        validate_exponents(*args, **kwargs)
+    assert str(err.value) == message
+
+
 def test_weight_field_bounds_enforced():
     g = Grid(1, 3)
     with pytest.raises(ValueError):
@@ -570,9 +607,31 @@ def test_weight_from_nodal_averages_edges():
     np.testing.assert_allclose(mu.per_axis[0], [1.0, 1.5, 2.5, 3.0])
 
 
-def test_weight_lipschitz_quotient_of_ramp():
-    mu = WeightField.ramp(Grid(1, 7), 1.0)
-    assert mu.lipschitz_quotient() == 2.0
+def _ramp_from_edge_midpoints(grid, mu_max):
+    # The meshgrid of every edge midpoint's coordinates, its x column ramped.
+    h, arrays = grid.h, []
+    for axis in range(grid.n):
+        coords = [
+            h * (np.arange(grid.m + 1, dtype=float) + 0.5)
+            if a == axis
+            else h * np.arange(1, grid.m + 1, dtype=float)
+            for a in range(grid.n)
+        ]
+        x = np.meshgrid(*coords, indexing="ij")[0]
+        arrays.append(mu_max * np.maximum(0.0, 2.0 * x - 1.0))
+    return arrays
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("mu_max", [0.7, 1.0, 2.0, 1e3])
+def test_weight_ramp_is_bit_identical_to_the_edge_midpoint_meshgrid(n, mu_max):
+    for m in range(1, 128):
+        g = Grid(n, m)
+        mu = WeightField.ramp(g, mu_max)
+        for axis, (got, want) in enumerate(zip(mu.per_axis, _ramp_from_edge_midpoints(g, mu_max))):
+            assert got.shape == g.edge_shape(axis) == want.shape
+            assert got.dtype == want.dtype
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes(), (m, axis)
 
 
 def test_energy_is_convex_along_segments():

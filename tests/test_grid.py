@@ -297,14 +297,6 @@ def test_sobolev_norm_refinement_converges():
     assert errs[-1] < 1e-3
 
 
-def test_value_at_includes_boundary_zeros():
-    g = Grid(1, 3)
-    u = GridFunction(g, np.array([1.0, 2.0, 3.0]))
-    assert u.value_at(0) == 0.0
-    assert u.value_at(4) == 0.0
-    assert u.value_at(2) == 2.0
-
-
 def test_grid_function_arithmetic():
     g = Grid(1, 3)
     u = GridFunction(g, np.array([1.0, 2.0, 3.0]))
