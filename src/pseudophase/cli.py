@@ -2,8 +2,8 @@
 
 Config files are flat ``key = value`` text with dotted section prefixes
 (grid.m, exponents.q, ...); command-line flags override file values.
-Each key is one row of ``_KEYS`` (type, default, allowed values), and one
-function, ``_parse``, checks every value against its row.
+Each key is one row of ``_KEYS`` (type, default, allowed values), and
+``_parse`` checks every value, from a file or a flag (``_FLAGS``), against it.
 Reports are line-oriented key/value records so acceptance fixtures can be
 diffed byte for byte; wall time is echoed to stdout only, never written
 into an artifact, to keep reruns bit-identical.
@@ -151,19 +151,13 @@ def parse_config(
             eps_reg=keys["exponents.epsilon"],
         )
     with _section("solver"):
-        solver = SolverConfig(
-            tol_grad=keys["solver.tol"],
-            max_iters=keys["solver.max_iters"],
-            armijo_c=keys["solver.armijo"],
-            backtrack=keys["solver.backtrack"],
-        )
+        solver = SolverConfig(tol_grad=keys["solver.tol"], max_iters=keys["solver.max_iters"])
     with _section("control"):
         control = ControlConfig(
             inner=solver,
             tol_reduced=keys["control.tol_reduced"],
             max_outer=keys["control.max_outer"],
             cg_tol=keys["control.cg_tol"],
-            cg_max=keys["control.cg_max"],
             alpha=keys["control.alpha"],
         )
     return RunConfig(grid, exponents, solver, control, keys)
@@ -405,20 +399,38 @@ _KEYS: dict[str, tuple[type, object, tuple[str, ...] | None]] = {
     "forcing.value": (float, 1.0, None),
     "forcing.preset": (str, "sine", ("sine", "bump")),
     "forcing.path": (str, None, None),
+    # Looser than SolverConfig's own default tol_grad = 1e-8.
     "solver.tol": (float, 1e-6, None),
-    "solver.max_iters": (int, 50_000, None),
-    "solver.armijo": (float, 1e-4, None),
-    "solver.backtrack": (float, 0.5, None),
-    "control.alpha": (float, 1e-6, None),
-    "control.tol_reduced": (float, 1e-5, None),
-    "control.max_outer": (int, 10_000, None),
-    "control.cg_tol": (float, 1e-10, None),
-    "control.cg_max": (int, 0, None),
+    "solver.max_iters": (int, SolverConfig.max_iters, None),
+    "control.alpha": (float, ControlConfig.alpha, None),
+    "control.tol_reduced": (float, ControlConfig.tol_reduced, None),
+    "control.max_outer": (int, ControlConfig.max_outer, None),
+    "control.cg_tol": (float, ControlConfig.cg_tol, None),
     "convexity.trials": (int, 1000, None),
     "convexity.gamma": (float, None, None),
 }
 
 _REQUIRED = ("command", "exponents.q")
+
+#: Each value flag and the key it sets; its text parses like a file value.
+_FLAGS = {
+    "--out": "out",
+    "--seed": "seed",
+    "--m": "grid.m",
+    "--n": "grid.n",
+    "--q": "exponents.q",
+    "--p": "exponents.p",
+    "--epsilon": "exponents.epsilon",
+    "--tol": "solver.tol",
+    "--max-iters": "solver.max_iters",
+    "--mu-const": "weight.mu0",
+}
+
+#: Each switch and the key and value it sets.
+_SWITCHES = {
+    "--strict-sobolev": ("exponents.mode", "strict"),
+    "--dump-energy-trace": ("dump_energy_trace", "true"),
+}
 
 #: Lower bounds of the keys that no record checks when it is built.
 _AT_LEAST = {"seed": 0, "convexity.trials": 1, "convexity.gamma": 1.0}
@@ -448,46 +460,21 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", nargs="?", choices=_COMMANDS, help="command to run")
     parser.add_argument("--config", metavar="PATH", help="key = value config file")
-    parser.add_argument("--out", metavar="DIR", help="output directory")
-    parser.add_argument("--seed", type=int, metavar="U64")
-    parser.add_argument("--m", type=int, metavar="INT", help="interior nodes per axis")
-    parser.add_argument("--n", type=int, choices=(1, 2), help="spatial dimension")
-    parser.add_argument("--q", type=float, metavar="REAL")
-    parser.add_argument("--p", type=float, metavar="REAL", help="explicit p (relaxed mode)")
-    parser.add_argument(
-        "--strict-sobolev", action="store_true", help="derive p from 1/p = 1/q - 1/n"
-    )
-    parser.add_argument("--epsilon", type=float, metavar="REAL")
-    parser.add_argument("--tol", type=float, metavar="REAL")
-    parser.add_argument("--max-iters", type=int, metavar="INT")
-    parser.add_argument("--mu-const", type=float, metavar="REAL")
-    parser.add_argument("--dump-energy-trace", action="store_true")
+    for flag, key in _FLAGS.items():
+        parser.add_argument(flag, dest=key, metavar=_KEYS[key][0].__name__.upper(), help=key)
+    for flag, (key, value) in _SWITCHES.items():
+        parser.add_argument(flag, dest=key, action="store_const", const=value, help=f"{key} = {value}")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_arg_parser().parse_args(argv)
-    overrides: dict[str, object] = {
-        "command": args.command,
-        "out": args.out,
-        "seed": args.seed,
-        "grid.m": args.m,
-        "grid.n": args.n,
-        "exponents.q": args.q,
-        "exponents.p": args.p,
-        "exponents.epsilon": args.epsilon,
-        "solver.tol": args.tol,
-        "solver.max_iters": args.max_iters,
-    }
-    if args.strict_sobolev:
-        overrides["exponents.mode"] = "strict"
-    if args.mu_const is not None:
+    # Every destination but config is a key; an absent flag leaves None.
+    overrides = vars(_build_arg_parser().parse_args(argv))
+    path = overrides.pop("config")
+    if overrides["weight.mu0"] is not None:
         overrides["weight.kind"] = "constant"
-        overrides["weight.mu0"] = args.mu_const
-    if args.dump_energy_trace:
-        overrides["dump_energy_trace"] = True
     try:
-        config = parse_config(args.config, overrides)
+        config = parse_config(path, overrides)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -74,9 +74,8 @@ _PROBES = 3
 _STEP = 1e-6
 _REL_TOL = 1e-6
 
-#: The outer line search's Armijo constant and step shrink factor.
-_ARMIJO_C = 1e-4
-_BACKTRACK = 0.5
+#: A Hessian solve gives up after this many products per node.
+_CG_PRODUCTS_PER_NODE = 10
 
 
 def _probe_fields(grid: Grid, count: int) -> np.ndarray:
@@ -167,7 +166,6 @@ class ControlConfig:
     tol_reduced: float = 1e-5
     max_outer: int = 10_000
     cg_tol: float = 1e-10
-    cg_max: int = 0  # 0 means 10 * number of nodes
     alpha: float = 1e-6
 
     def __post_init__(self) -> None:
@@ -177,8 +175,6 @@ class ControlConfig:
             raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
         if not (self.cg_tol > 0.0 and math.isfinite(self.cg_tol)):
             raise ValueError(f"cg_tol must be finite and positive, got {self.cg_tol}")
-        if self.cg_max < 0:
-            raise ValueError(f"cg_max must be >= 0, got {self.cg_max}")
         if not self.cg_tol < self.tol_reduced:
             raise ValueError(
                 f"cg_tol must be below tol_reduced, got {self.cg_tol} >= {self.tol_reduced}"
@@ -263,7 +259,6 @@ class SolutionOperator:
 def _hessian_solve(
     lin: _Linearization,
     rhs: GridFunction,
-    e: Exponents,
     cfg: ControlConfig,
     psi: SolutionOperator | None = None,
     tol: float | None = None,
@@ -271,17 +266,18 @@ def _hessian_solve(
     """Solve H w = rhs over the record lin by Jacobi-preconditioned CG.
 
     Runs to the relative residual tol, by default cfg.cg_tol, and raises
-    CGBreakdownError unless it gets there.  Each Hessian product is added
-    to psi.adjoint_matvecs when psi is given.
+    CGBreakdownError unless it gets there within _CG_PRODUCTS_PER_NODE
+    products per node.  Each Hessian product is added to psi.adjoint_matvecs
+    when psi is given.
     """
     grid = rhs.grid
     tol = cfg.cg_tol if tol is None else tol
-    cg_max = cfg.cg_max if cfg.cg_max > 0 else 10 * grid.n_nodes
+    cg_max = _CG_PRODUCTS_PER_NODE * grid.n_nodes
     diag = _jacobi_diagonal(lin)
 
     def apply_h(values: np.ndarray) -> np.ndarray:
         # Checked per product: a zero rhs makes none and still returns zeros.
-        _check_nonsingular(lin.coeffs, e)
+        _check_nonsingular(lin)
         if psi is not None:
             psi.adjoint_matvecs += 1
         return _hessian_product(lin, values)
@@ -305,6 +301,20 @@ def _hessian_solve(
     return GridFunction(grid, solution)
 
 
+def _operator(
+    mu: WeightField, e: Exponents, cfg: ControlConfig, cache: SolutionOperator | None
+) -> SolutionOperator:
+    """cache, or a new operator if it is None; ValueError if cache has another mu or e."""
+    if cache is None:
+        return SolutionOperator(mu, e, cfg.inner)
+    # Identity for the weight: == between WeightFields compares arrays.
+    if cache.mu is not mu:
+        raise ValueError("cache was built for another weight field than mu")
+    if cache.exponents != e:
+        raise ValueError(f"cache was built for exponents {cache.exponents}, not {e}")
+    return cache
+
+
 def gateaux_derivative(
     f: GridFunction,
     h: GridFunction,
@@ -314,8 +324,8 @@ def gateaux_derivative(
     cache: SolutionOperator | None = None,
 ) -> GridFunction:
     """Directional derivative of psi at f along h: solve H(psi(f)) w = h."""
-    psi = cache or SolutionOperator(mu, e, cfg.inner)
-    return _hessian_solve(psi.linearization(psi(f)), h, e, cfg, psi)
+    psi = _operator(mu, e, cfg, cache)
+    return _hessian_solve(psi.linearization(psi(f)), h, cfg, psi)
 
 
 def reduced_gradient(
@@ -327,9 +337,9 @@ def reduced_gradient(
     cache: SolutionOperator | None = None,
 ) -> GridFunction:
     """Adjoint gradient of f -> obj.evaluate(f, psi(f)): one hessian solve."""
-    psi = cache or SolutionOperator(mu, e, cfg.inner)
+    psi = _operator(mu, e, cfg, cache)
     u = psi(f)
-    lam = _hessian_solve(psi.linearization(u), obj.grad_u(f, u), e, cfg, psi)
+    lam = _hessian_solve(psi.linearization(u), obj.grad_u(f, u), cfg, psi)
     return obj.grad_f(f, u) + lam
 
 
@@ -347,7 +357,6 @@ def _gauss_newton_direction(
     u: GridFunction,
     g: GridFunction,
     obj: Objective,
-    e: Exponents,
     cfg: ControlConfig,
     psi: SolutionOperator,
 ) -> tuple[np.ndarray, int]:
@@ -370,8 +379,8 @@ def _gauss_newton_direction(
         nonlocal products
         products += 1
         w = GridFunction(grid, values)
-        sw = _hessian_solve(lin, w, e, cfg, psi, s_tol)
-        ssw = _hessian_solve(lin, obj.grad_u(f, u + sw) - gu0, e, cfg, psi, s_tol)
+        sw = _hessian_solve(lin, w, cfg, psi, s_tol)
+        ssw = _hessian_solve(lin, obj.grad_u(f, u + sw) - gu0, cfg, psi, s_tol)
         return (ssw + (obj.grad_f(f + w, u) - gf0)).values
 
     d, _ = _cg(apply_m, g.values, tol, grid.n_nodes)
@@ -419,13 +428,12 @@ def optimize_control(
             break
 
         before = psi.adjoint_matvecs
-        d, products = _gauss_newton_direction(f, u, g, obj, e, cfg, psi)
+        d, products = _gauss_newton_direction(f, u, g, obj, cfg, psi)
         model_cg_iters += products
         model_matvecs += psi.adjoint_matvecs - before
         slope = _dot(g.values, d)
         if not slope > 0.0:
             d, slope = g.values, _dot(g.values, g.values)
-        decrease = _ARMIJO_C * cell * slope
 
         def trial(t: float) -> tuple[float, tuple[GridFunction, GridFunction] | None]:
             step = t * d
@@ -440,7 +448,7 @@ def optimize_control(
                 return math.inf, None
             return obj.evaluate(f_trial, u_trial), (f_trial, u_trial)
 
-        accepted = _backtrack(trial, 1.0, _BACKTRACK, j_val, decrease)
+        accepted = _backtrack(trial, j_val, cell, slope)
         if accepted is None:
             status = "stalled"
             break

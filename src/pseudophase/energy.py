@@ -445,7 +445,7 @@ def _hessian_coeff(g: np.ndarray, mu_axis: np.ndarray, e: Exponents) -> np.ndarr
     """Edge coefficient of the linearization: the derivative of _flux in g.
 
     With eps_reg = 0 it vanishes on every edge where g = 0 and the active
-    powers exceed 2; _check_nonsingular decides whether that is an error.
+    powers exceed 2; _linearization then marks its record singular.
     """
     g2 = g * g
     if e.eps_reg == 0.0:
@@ -469,12 +469,14 @@ class _Linearization:
     enter diag.  legs holds per axis (off, s, tmp) over the nodes in C
     order: off[k] couples node k to node k + s over h^2 (s = m for axis 0
     in 2-D, else 1), 0.0 where that pair crosses a row end, and tmp is a
-    view of the one scratch buffer.
+    view of the one scratch buffer.  singular is set when eps_reg = 0 and a
+    coefficient vanishes; _check_nonsingular reads it.
     """
 
     coeffs: tuple[np.ndarray, ...]
     diag: np.ndarray
     legs: tuple[tuple[np.ndarray, int, np.ndarray], ...]
+    singular: bool
 
 
 def _linearization(
@@ -495,7 +497,9 @@ def _linearization(
         off[m - 1 :: m] = 0.0  # the right boundary edges: pairs across a row end
         legs.append((off[:-1], 1))
     scratch = np.empty(diag.size - 1)
-    return _Linearization(coeffs, diag, tuple((off, s, scratch[: off.size]) for off, s in legs))
+    legs = tuple((off, s, scratch[: off.size]) for off, s in legs)
+    singular = e.eps_reg == 0.0 and any(np.any(c == 0.0) for c in coeffs)
+    return _Linearization(coeffs, diag, legs, singular)
 
 
 def _jacobi_diagonal(lin: _Linearization) -> np.ndarray | None:
@@ -511,9 +515,9 @@ def _jacobi_diagonal(lin: _Linearization) -> np.ndarray | None:
     return lin.diag
 
 
-def _check_nonsingular(coeffs: tuple[np.ndarray, ...], e: Exponents) -> None:
+def _check_nonsingular(lin: _Linearization) -> None:
     """Raise SingularLinearizationError if a coefficient vanishes with eps_reg = 0."""
-    if e.eps_reg == 0.0 and any(np.any(c == 0.0) for c in coeffs):
+    if lin.singular:
         raise SingularLinearizationError(
             "zero linearization coefficient on an edge with eps_reg = 0; "
             "re-run with a positive regularization width"
@@ -559,7 +563,7 @@ def hessian_apply(
     _check_same_grid(u.grid, w)
     h = u.grid.h
     lin = _linearization(_diffs(u.values, h), mu.per_axis, e, h)
-    _check_nonsingular(lin.coeffs, e)
+    _check_nonsingular(lin)
     return GridFunction(u.grid, _hessian_product(lin, w.values))
 
 

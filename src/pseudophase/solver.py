@@ -59,6 +59,11 @@ __all__ = ["SolverConfig", "SolveReport", "solve_inner"]
 #: Below this trial step the line search is declared stalled.
 STEP_FLOOR = 1e-16
 
+#: The Armijo constant and step shrink factor of the one line search, which
+#: Newton and the control loop's outer steps share.
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
+
 #: CG treats a direction p with p.Hp <= _CURVATURE_FLOOR * (Gershgorin bound
 #: of H) * p.p as having null curvature.
 _CURVATURE_FLOOR = 1e-12
@@ -160,22 +165,22 @@ def _forcing_term(eta: float, g_norm: float, prev_norm: float, tol_grad: float) 
 
 def _backtrack(
     trial: Callable[[float], tuple[float, object]],
-    t: float,
-    shrink: float,
     ref: float,
+    cell: float,
     slope: float,
 ) -> tuple[float, float, object] | None:
-    """Armijo backtracking over the trial steps t, t*shrink, ... >= STEP_FLOOR.
+    """Armijo backtracking over the trial steps 1, _BACKTRACK, ... >= STEP_FLOOR.
 
     trial(t) returns (value, payload); the first step whose value is finite
-    and at most ref - t*slope is accepted and returned as (t, value,
-    payload).  None means every step above the floor failed.
+    and at most ref - t * (_ARMIJO_C * cell * slope) is accepted and returned
+    as (t, value, payload).  None means every step above the floor failed.
     """
+    t = 1.0
     while t >= STEP_FLOOR:
         value, payload = trial(t)
-        if np.isfinite(value) and value <= ref - t * slope:
+        if np.isfinite(value) and value <= ref - t * (_ARMIJO_C * cell * slope):
             return t, value, payload
-        t *= shrink
+        t *= _BACKTRACK
     return None
 
 
@@ -183,8 +188,6 @@ def _backtrack(
 class SolverConfig:
     tol_grad: float = 1e-8
     max_iters: int = 50_000  # Newton steps
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
     init: GridFunction | None = None
 
     def __post_init__(self) -> None:
@@ -192,10 +195,6 @@ class SolverConfig:
             raise ValueError(f"tol_grad must be finite and positive, got {self.tol_grad}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError(f"armijo_c must lie in (0,1), got {self.armijo_c}")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError(f"backtrack must lie in (0,1), got {self.backtrack}")
 
 
 @dataclass(frozen=True)
@@ -310,7 +309,7 @@ def solve_inner(
         def trial(t: float) -> tuple[float, None]:
             return decrease(t), None
 
-        accepted = _backtrack(trial, 1.0, cfg.backtrack, 0.0, cfg.armijo_c * cell * slope)
+        accepted = _backtrack(trial, 0.0, cell, slope)
         if accepted is None:
             status = "stalled"
             break

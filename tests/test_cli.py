@@ -27,7 +27,16 @@ from pseudophase import (
     read_grid_function,
     write_grid_function,
 )
-from pseudophase.cli import _KEYS, _REQUIRED, _parse, main, parse_config
+from pseudophase.cli import (
+    _FLAGS,
+    _KEYS,
+    _REQUIRED,
+    _SWITCHES,
+    _build_arg_parser,
+    _parse,
+    main,
+    parse_config,
+)
 
 
 def _write(tmp_path, name, text):
@@ -234,8 +243,6 @@ def test_malformed_value_exits_one_naming_its_key(tmp_path, capsys, key, value):
     "command, lines, message",
     [
         ("convexity", "convexity.gamma = 0.5", "error: convexity.gamma: must be >= 1"),
-        ("control", "control.cg_max = -5", "error: control: cg_max must be >= 0"),
-        ("solve", "solver.armijo = 2", "error: solver: armijo_c must lie in (0,1)"),
         ("solve", "forcing.preset = saw", "error: forcing.preset: must be one of sine, bump"),
         (
             "solve",
@@ -679,6 +686,110 @@ def test_readme_key_table_matches_the_parser():
     assert tuple(required) == _REQUIRED
 
 
+def test_readme_flag_table_matches_the_parser():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    section = open(readme, encoding="utf-8").read().split("### Command-line flags", 1)[1]
+    table = section.split("\n\n|", 1)[1].split("\n\n", 1)[0]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    flags, switches = {}, {}
+    for row in rows:
+        flag, sets = (cell.strip().strip("`") for cell in row.strip("|").split("|"))
+        if " = " in sets:
+            switches[flag] = tuple(sets.split(" = "))
+        else:
+            flags[flag] = sets
+    assert flags == _FLAGS and list(flags) == list(_FLAGS)
+    assert switches == _SWITCHES
+    assert set(_FLAGS.values()) <= set(_KEYS)
+    assert {key for key, _ in _SWITCHES.values()} <= set(_KEYS)
+    # argparse hands every value flag's text over unconverted and unchecked.
+    actions = {a.option_strings[0]: a for a in _build_arg_parser()._actions if a.option_strings}
+    for flag, key in _FLAGS.items():
+        assert (actions[flag].dest, actions[flag].type, actions[flag].choices) == (key, None, None)
+
+
+#: A malformed token for every flag whose key is not a str, and the error
+#: that names its key, or its section when a record rejects the value.
+_BAD_FLAGS = [
+    ("--seed", "abc", "seed: expected int"),
+    ("--seed", "-1", "seed: must be >= 0"),
+    ("--m", "abc", "grid.m: expected int"),
+    ("--m", "2.5", "grid.m: expected int"),
+    ("--m", "0", "grid: interior resolution must be >= 1"),
+    ("--n", "3", "grid: grid dimension must be 1 or 2"),
+    ("--n", "1.0", "grid.n: expected int"),
+    ("--q", "abc", "exponents.q: expected float"),
+    ("--q", "1/0", "exponents.q: expected float"),
+    ("--q", "5", "exponents: strict coupling requires q < n"),
+    ("--p", "abc", "exponents.p: expected float"),
+    ("--p", "1", "exponents: relaxed mode requires q < p"),
+    ("--epsilon", "abc", "exponents.epsilon: expected float"),
+    ("--epsilon", "-1e-4", "exponents: eps_reg must be >= 0"),
+    ("--tol", "true", "solver.tol: expected float"),
+    ("--tol", "0", "solver: tol_grad must be finite and positive"),
+    ("--max-iters", "1e3", "solver.max_iters: expected int"),
+    ("--max-iters", "0", "solver: max_iters must be >= 1"),
+    ("--mu-const", "abc", "weight.mu0: expected float"),
+    ("--mu-const", "-1", "weight: weight values must be >= 0"),
+]
+
+
+def test_every_non_text_flag_has_malformed_cases():
+    assert {flag for flag, _, _ in _BAD_FLAGS} == {
+        flag for flag, key in _FLAGS.items() if _KEYS[key][0] is not str
+    }
+
+
+@pytest.mark.parametrize("flag, token, message", _BAD_FLAGS)
+def test_malformed_flag_exits_one_naming_its_key_or_section(tmp_path, capsys, flag, token, message):
+    # These used to exit 2 with an argparse message.  flag=token keeps a
+    # token such as "-1e-4" a value.
+    out = tmp_path / "out"
+    args = ["solve", "--n", "2", "--m", "5", "--q", "4/3", "--out", str(out), f"{flag}={token}"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}"), err
+    assert not out.exists()
+
+
+def test_q_flag_takes_a_fraction_like_the_file_value(tmp_path):
+    by_flag, by_file = tmp_path / "flag", tmp_path / "file"
+    assert main(["exponents", "--n", "2", "--q", "4/3", "--out", str(by_flag)]) == 0
+    cfg = _write(tmp_path, "run.cfg", "command = exponents\ngrid.n = 2\nexponents.q = 4/3\n")
+    assert main(["--config", cfg, "--out", str(by_file)]) == 0
+    written = (by_flag / "exponents.txt").read_bytes()
+    assert written == (by_file / "exponents.txt").read_bytes()
+    assert b"q = 1.3333333333333333\n" in written
+
+
+@pytest.mark.parametrize("key", ["solver.armijo", "solver.backtrack", "control.cg_max"])
+def test_removed_config_key_exits_one_naming_file_and_line(tmp_path, capsys, key):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "run.cfg", f"exponents.q = 4/3\ngrid.n = 2\n{key} = 1\n")
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert f"error: {cfg}:3: unknown config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # argparse reads "-1e-4" as an option, not as a value; --epsilon=-1e-4 works.
+        ["--epsilon", "-1e-4"],
+        ["--bogus", "1"],
+        ["--m"],
+        ["sovle"],
+    ],
+)
+def test_usage_errors_stay_argparse_exit_two(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", "--n", "2", "--q", "4/3", "--out", str(out), *args])
+    assert exit_info.value.code == 2
+    assert "usage: pseudophase" in capsys.readouterr().err
+    assert not out.exists()
+
+
 _COMMANDS = _KEYS["command"][2]
 
 #: A fast valid start for every command; m = 5 and small budgets.
@@ -711,13 +822,10 @@ _OTHER = {
     "forcing.preset": ["sine", "bump"],
     "solver.tol": ["1e-8", "1e-3"],
     "solver.max_iters": ["1", "20"],
-    "solver.armijo": ["0.3"],
-    "solver.backtrack": ["0.1", "0.9"],
     "control.alpha": ["0", "1e-3"],
     "control.tol_reduced": ["1e-3"],
     "control.max_outer": ["1"],
     "control.cg_tol": ["1e-8"],
-    "control.cg_max": ["0", "5"],
     "convexity.trials": ["1"],
     "convexity.gamma": ["1", "4"],
 }

@@ -325,10 +325,10 @@ def test_cg_guard_raises_on_negative_curvature(monkeypatch):
     real = control._hessian_product
     monkeypatch.setattr(control, "_hessian_product", lambda lin, w: -real(lin, w))
     with pytest.raises(CGBreakdownError, match="curvature"):
-        _hessian_solve(_record(u, mu, TWO_PHASE), GridFunction.full(g, 1.0), TWO_PHASE, _cfg())
+        _hessian_solve(_record(u, mu, TWO_PHASE), GridFunction.full(g, 1.0), _cfg())
 
 
-def test_cg_raises_when_iterations_run_out():
+def test_cg_raises_when_iterations_run_out(monkeypatch):
     A = np.diag(np.arange(1.0, 9.0))
     x, reason = _cg(lambda x: A @ x, np.ones(8), tol=1e-14, max_iters=2)
     assert reason == "max_iters"
@@ -338,8 +338,14 @@ def test_cg_raises_when_iterations_run_out():
     mu = WeightField.constant(g, 1.0)
     u = GridFunction(g, np.sin(np.pi * g.node_coords()[0]))
     rhs = GridFunction(g, np.arange(1.0, 9.0))
-    with pytest.raises(CGBreakdownError, match="did not reach"):
-        _hessian_solve(_record(u, mu, TWO_PHASE), rhs, TWO_PHASE, _cfg(cg_tol=1e-14, cg_max=2))
+    # Jacobi CG solves this system in 8 products, so only a shrunken budget
+    # reaches the "did not reach" branch.
+    psi = SolutionOperator(mu, TWO_PHASE, SolverConfig())
+    _hessian_solve(_record(u, mu, TWO_PHASE), rhs, _cfg(cg_tol=1e-14), psi)
+    assert 0 < psi.adjoint_matvecs <= 10 * g.n_nodes
+    monkeypatch.setattr(control, "_CG_PRODUCTS_PER_NODE", 0)
+    with pytest.raises(CGBreakdownError, match="did not reach tol=1.0e-14 within 0 iterations"):
+        _hessian_solve(_record(u, mu, TWO_PHASE), rhs, _cfg(cg_tol=1e-14))
 
 
 def _indicator_diagonal(u, mu, e):
@@ -361,7 +367,7 @@ def _reference_hessian_solve(u, rhs, mu, e, cfg):
     nodal indicators, which the solve must reproduce bit for bit.
     """
     grid = u.grid
-    cg_max = cfg.cg_max if cfg.cg_max > 0 else 10 * grid.n_nodes
+    cg_max = 10 * grid.n_nodes
     inv_diag = 1.0 / _indicator_diagonal(u, mu, e)
     products = 0
 
@@ -394,10 +400,10 @@ def test_adjoint_solve_equals_the_hessian_apply_reference(n, m, pq, eps_reg, wei
     expected, reason, products = _reference_hessian_solve(u, rhs, mu, e, cfg)
     with mock.patch.object(control, "_hessian_product", wraps=control._hessian_product) as spy:
         if reason == "converged":
-            assert np.array_equal(_hessian_solve(_record(u, mu, e), rhs, e, cfg).values, expected)
+            assert np.array_equal(_hessian_solve(_record(u, mu, e), rhs, cfg).values, expected)
         else:
             with pytest.raises(CGBreakdownError):
-                _hessian_solve(_record(u, mu, e), rhs, e, cfg)
+                _hessian_solve(_record(u, mu, e), rhs, cfg)
     assert spy.call_count == products
 
 
@@ -414,7 +420,7 @@ def test_one_adjoint_solve_builds_the_linearization_once(monkeypatch):
     )
     spy = mock.Mock(wraps=control._hessian_product)
     monkeypatch.setattr(control, "_hessian_product", spy)
-    _hessian_solve(_record(u, mu, e), GridFunction.full(g, 1.0), e, _cfg())
+    _hessian_solve(_record(u, mu, e), GridFunction.full(g, 1.0), _cfg())
     assert spy.call_count > g.n
     assert len(built) == g.n
 
@@ -425,9 +431,35 @@ def test_singular_linearization_raises_only_when_cg_needs_a_product():
     e = Exponents(3.0, 2.0, 1, 0.0)
     zero = GridFunction.zeros(g)
     # Every coefficient vanishes at u = 0; a zero rhs makes no product.
-    assert not _hessian_solve(_record(zero, mu, e), zero, e, _cfg()).values.any()
+    assert not _hessian_solve(_record(zero, mu, e), zero, _cfg()).values.any()
     with pytest.raises(SingularLinearizationError, match="eps_reg = 0"):
-        _hessian_solve(_record(zero, mu, e), GridFunction.full(g, 1.0), e, _cfg())
+        _hessian_solve(_record(zero, mu, e), GridFunction.full(g, 1.0), _cfg())
+
+
+def test_gradients_reject_a_cache_built_for_another_weight_or_exponents():
+    # A cache used to answer with its own weight and exponents: a cache for
+    # mu = 2 gave the mu = 2 gradient bit for bit when mu = 0.5 was asked.
+    g = Grid(1, 7)
+    mu = WeightField.constant(g, 0.5)
+    cfg = _cfg()
+    x = g.node_coords()[0]
+    obj = tracking_objective(GridFunction(g, x * (1.0 - x)), 1e-4)
+    f = GridFunction(g, np.sin(np.pi * x))
+    for cache, message in (
+        (SolutionOperator(WeightField.constant(g, 2.0), TWO_PHASE, cfg.inner), "weight field"),
+        # Equal arrays are not the same weight: identity decides.
+        (SolutionOperator(WeightField.constant(g, 0.5), TWO_PHASE, cfg.inner), "weight field"),
+        (SolutionOperator(mu, Exponents(3.0, 2.0, 1, 1e-4), cfg.inner), "exponents"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            reduced_gradient(f, obj, mu, TWO_PHASE, cfg, cache)
+        with pytest.raises(ValueError, match=message):
+            gateaux_derivative(f, f, mu, TWO_PHASE, cfg, cache)
+        assert cache.solves == 0
+    # Equal exponents in another record pass, and the cache changes no bit.
+    cache = SolutionOperator(mu, Exponents(4.0, 4.0 / 3.0, 1, 1e-4), cfg.inner)
+    fresh = reduced_gradient(f, obj, mu, TWO_PHASE, cfg)
+    assert np.array_equal(reduced_gradient(f, obj, mu, TWO_PHASE, cfg, cache).values, fresh.values)
 
 
 def test_reduced_gradient_without_state_coupling_is_grad_f():
@@ -766,7 +798,7 @@ def test_gauss_newton_direction_runs_every_s_solve_over_the_record_of_its_state(
     monkeypatch.setattr(control, "_linearization", lambda *args: built.append(real(*args)) or built[-1])
     solves = mock.Mock(wraps=control._hessian_solve)
     monkeypatch.setattr(control, "_hessian_solve", solves)
-    _, products = control._gauss_newton_direction(f, u, grad, obj, e, cfg, psi)
+    _, products = control._gauss_newton_direction(f, u, grad, obj, cfg, psi)
     assert not built
     assert solves.call_count == 2 * products > 0
     assert all(call.args[0] is lin for call in solves.call_args_list)
@@ -805,10 +837,10 @@ def test_optimize_control_builds_one_record_and_one_gradient_per_accepted_state(
     real_direction = control._gauss_newton_direction
     reused = []
 
-    def direction(f, u, grad, obj, e, cfg, psi):
+    def direction(f, u, grad, obj, cfg, psi):
         before = len(records)
         reused.append(psi.linearization(u) is records[-1] and len(records) == before)
-        return real_direction(f, u, grad, obj, e, cfg, psi)
+        return real_direction(f, u, grad, obj, cfg, psi)
 
     monkeypatch.setattr(control, "_gauss_newton_direction", direction)
     rep = optimize_control(obj, GridFunction.zeros(g), mu, e, cfg)
@@ -831,6 +863,3 @@ def test_control_config_validation():
         ControlConfig(inner=inner, alpha=-1.0)
     with pytest.raises(ValueError, match="max_outer"):
         ControlConfig(inner=inner, max_outer=0)
-    with pytest.raises(ValueError, match="cg_max must be >= 0"):
-        ControlConfig(inner=inner, cg_max=-5)
-    assert ControlConfig(inner=inner, cg_max=0).cg_max == 0

@@ -319,7 +319,7 @@ def test_flat_product_is_the_slice_product_bit_for_bit(n, m, pq, eps_reg, weight
     w = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal(g.shape)
     w[rng.random(g.shape) < 0.2] = 0.0
     lin = _linearization(_diffs(vals, g.h), mu.per_axis, e, g.h)
-    _check_nonsingular(lin.coeffs, e)
+    _check_nonsingular(lin)
     diag, expected = _slice_product(lin.coeffs, g.h, w)
     assert _same_bits(lin.diag, diag)
     assert _same_bits(_hessian_product(lin, w), expected)

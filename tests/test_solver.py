@@ -231,10 +231,6 @@ def test_solver_config_validation():
         SolverConfig(tol_grad=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(armijo_c=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(backtrack=0.0)
 
 
 def test_init_must_live_on_the_same_grid():
