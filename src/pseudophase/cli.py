@@ -196,7 +196,10 @@ def _build_forcing(config: RunConfig) -> GridFunction:
 
 def _artifact(config: RunConfig, name: str) -> str:
     """Path of one artifact; the output directory is made when the first is written."""
-    os.makedirs(config["out"], exist_ok=True)
+    try:
+        os.makedirs(config["out"], exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"out: {err}") from None
     return os.path.join(config["out"], name)
 
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -48,7 +49,6 @@ from .energy import (
     WeightField,
     _check_nonsingular,
     _hessian_product,
-    _jacobi_diagonal,
     _linearization,
     _Linearization,
 )
@@ -267,28 +267,22 @@ def _hessian_solve(
 
     Runs to the relative residual tol, by default cfg.cg_tol, and raises
     CGBreakdownError unless it gets there within _CG_PRODUCTS_PER_NODE
-    products per node.  Each Hessian product is added to psi.adjoint_matvecs
-    when psi is given.
+    products per node.  The Hessian products are added to
+    psi.adjoint_matvecs when psi is given.  A singular record raises
+    SingularLinearizationError before any product unless rhs is all zero,
+    whose solution is zero.
     """
     grid = rhs.grid
     tol = cfg.cg_tol if tol is None else tol
     cg_max = _CG_PRODUCTS_PER_NODE * grid.n_nodes
-    diag = _jacobi_diagonal(lin)
-
-    def apply_h(values: np.ndarray) -> np.ndarray:
-        # Checked per product: a zero rhs makes none and still returns zeros.
+    b = np.asarray(rhs.values)
+    if b.any():
         _check_nonsingular(lin)
-        if psi is not None:
-            psi.adjoint_matvecs += 1
-        return _hessian_product(lin, values)
-
-    solution, reason = _cg(
-        apply_h,
-        np.asarray(rhs.values),
-        tol,
-        cg_max,
-        inv_diag=None if diag is None else 1.0 / diag,
+    solution, reason, products = _cg(
+        partial(_hessian_product, lin), b, tol, cg_max, inv_diag=lin.inv_diag
     )
+    if psi is not None:
+        psi.adjoint_matvecs += products
     if reason == "curvature":
         raise CGBreakdownError(
             "non-positive curvature in the hessian system; "
@@ -373,17 +367,14 @@ def _gauss_newton_direction(
     gu0, gf0 = obj.grad_u(f, u), obj.grad_f(f, u)
     tol = min(0.5, math.sqrt(math.sqrt(_dot(g.values, g.values))))
     s_tol = max(cfg.cg_tol, _S_FRACTION * tol)
-    products = 0
 
     def apply_m(values: np.ndarray) -> np.ndarray:
-        nonlocal products
-        products += 1
         w = GridFunction(grid, values)
         sw = _hessian_solve(lin, w, cfg, psi, s_tol)
         ssw = _hessian_solve(lin, obj.grad_u(f, u + sw) - gu0, cfg, psi, s_tol)
         return (ssw + (obj.grad_f(f + w, u) - gf0)).values
 
-    d, _ = _cg(apply_m, g.values, tol, grid.n_nodes)
+    d, _, products = _cg(apply_m, g.values, tol, grid.n_nodes)
     return d, products
 
 

@@ -470,11 +470,16 @@ class _Linearization:
     order: off[k] couples node k to node k + s over h^2 (s = m for axis 0
     in 2-D, else 1), 0.0 where that pair crosses a row end, and tmp is a
     view of the one scratch buffer.  singular is set when eps_reg = 0 and a
-    coefficient vanishes; _check_nonsingular reads it.
+    coefficient vanishes; _check_nonsingular reads it.  diag is
+    hessian_apply(u, e_k)[k] by construction, and inv_diag, the Jacobi
+    preconditioner of every CG over the record, is 1.0 / diag, or None
+    unless every entry of diag is a normal positive float: an entry vanishes
+    only at eps_reg = 0, where every coefficient around a node does.
     """
 
     coeffs: tuple[np.ndarray, ...]
     diag: np.ndarray
+    inv_diag: np.ndarray | None
     legs: tuple[tuple[np.ndarray, int, np.ndarray], ...]
     singular: bool
 
@@ -498,21 +503,11 @@ def _linearization(
         legs.append((off[:-1], 1))
     scratch = np.empty(diag.size - 1)
     legs = tuple((off, s, scratch[: off.size]) for off, s in legs)
-    singular = e.eps_reg == 0.0 and any(np.any(c == 0.0) for c in coeffs)
-    return _Linearization(coeffs, diag, legs, singular)
-
-
-def _jacobi_diagonal(lin: _Linearization) -> np.ndarray | None:
-    """The stencil's diagonal, which is hessian_apply(u, e_k)[k] by construction.
-
-    None unless every entry is a normal positive float, so its inverse is
-    finite: an entry vanishes only at eps_reg = 0, where every coefficient
-    around a node does.
-    """
     normal = np.finfo(float)
-    if not np.all((lin.diag >= normal.tiny) & (lin.diag <= normal.max)):
-        return None
-    return lin.diag
+    # A nan minimum or maximum fails its test too.
+    inv_diag = 1.0 / diag if diag.min() >= normal.tiny and diag.max() <= normal.max else None
+    singular = e.eps_reg == 0.0 and any(np.any(c == 0.0) for c in coeffs)
+    return _Linearization(coeffs, diag, inv_diag, legs, singular)
 
 
 def _check_nonsingular(lin: _Linearization) -> None:

@@ -12,9 +12,10 @@ the Gershgorin bound of H); it then returns its current iterate, or g
 itself, the steepest-descent direction, when the first direction already
 failed.  At eps_reg = 0, where H can be singular (the coefficients vanish
 on edges with a zero difference where mu = 0), the method thus degrades to
-gradient descent instead of failing, and CG runs unpreconditioned when a
-diagonal entry of H vanishes.  report.cg_curvature_stops counts the
-Newton steps whose CG ended on that curvature test.
+gradient descent instead of failing; where a diagonal entry of H vanishes
+the stencil record holds no Jacobi inverse, and CG runs with the identity
+preconditioner, which rounds as none.  report.cg_curvature_stops counts
+the Newton steps whose CG ended on that curvature test.
 
 CG iterates on flat vectors, and every reduction of the Krylov loops here
 and in the control module is one BLAS dot: CG's own by ndarray.dot, the
@@ -30,13 +31,16 @@ weak_check is one O(N) pass over the edge fluxes that never calls the
 gradient's divergence kernels, bit-identical to weak_residual per indicator.
 
 The conjugate-gradient routine and the backtracking line search are shared
-with the adjoint solves and the outer loop of the control module.
+with the adjoint solves and the outer loop of the control module.  CG has
+one loop path, preconditioned or not, and returns the number of products
+it made, which each caller adds to its own count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -46,7 +50,6 @@ from .energy import (
     WeightField,
     _flux,
     _hessian_product,
-    _jacobi_diagonal,
     _linearization,
     _pseudo_operator,
     _raw_energy_decrease,
@@ -95,15 +98,17 @@ def _cg(
     max_iters: int,
     curvature_floor: float = 0.0,
     inv_diag: np.ndarray | None = None,
-) -> tuple[np.ndarray, str]:
-    """Conjugate gradients for A x = b from x = 0; returns (x, reason).
+) -> tuple[np.ndarray, str, int]:
+    """Conjugate gradients for A x = b from x = 0; returns (x, reason, products).
 
-    inv_diag, when given, is the inverse of a positive diagonal
-    preconditioner.  reason is "converged" once the unpreconditioned
-    residual has |r| <= tol * |b|, "curvature" when a search direction p
-    has p.Ap <= curvature_floor * p.p, and "max_iters" when the iterations
-    run out.  On "curvature" x is the iterate before that direction, or b
-    itself when the first direction already failed.
+    inv_diag is the inverse of a positive diagonal preconditioner; None
+    stands for the identity, which rounds as none, since products by 1.0
+    are exact.  reason is "converged" once the unpreconditioned residual
+    has |r| <= tol * |b|, "curvature" when a search direction p has
+    p.Ap <= curvature_floor * p.p, and "max_iters" when the iterations run
+    out.  On "curvature" x is the iterate before that direction, or b
+    itself when the first direction already failed.  products counts the
+    calls of apply_A.
 
     The iteration runs on flat vectors with BLAS dots; apply_A gets a view
     of the direction in b's shape, which it must not keep.
@@ -113,12 +118,9 @@ def _cg(
     x = np.zeros(r.size)
     b_norm = math.sqrt(r.dot(r))
     if b_norm == 0.0:
-        return x.reshape(shape), "converged"
-    if inv_diag is None:
-        z = r
-    else:
-        inv_diag = inv_diag.ravel()
-        z = r * inv_diag
+        return x.reshape(shape), "converged", 0
+    inv_diag = np.ones(r.size) if inv_diag is None else inv_diag.ravel()
+    z = r * inv_diag
     p = z.copy()
     p_view = p.reshape(shape)
     tmp = np.empty_like(r)
@@ -128,7 +130,7 @@ def _cg(
         pAp = float(p.dot(Ap))
         # 0.0 * p.p is 0: without a floor, p.p is not needed.
         if pAp <= (curvature_floor * float(p.dot(p)) if curvature_floor else 0.0):
-            return (b if k == 0 else x.reshape(shape)), "curvature"
+            return (b if k == 0 else x.reshape(shape)), "curvature", k + 1
         alpha = rz / pAp
         # p*alpha into tmp rounds as alpha*p, without a temporary.
         x += np.multiply(p, alpha, out=tmp)
@@ -137,17 +139,14 @@ def _cg(
         del Ap
         rr = float(r.dot(r))
         if math.sqrt(rr) <= tol * b_norm:
-            return x.reshape(shape), "converged"
-        if inv_diag is None:
-            z, rz_new = r, rr
-        else:
-            np.multiply(r, inv_diag, out=z)
-            rz_new = float(r.dot(z))
+            return x.reshape(shape), "converged", k + 1
+        np.multiply(r, inv_diag, out=z)
+        rz_new = float(r.dot(z))
         # p*beta + z rounds as z + beta*p.
         p *= rz_new / rz
         p += z
         rz = rz_new
-    return x.reshape(shape), "max_iters"
+    return x.reshape(shape), "max_iters", max_iters
 
 
 def _forcing_term(eta: float, g_norm: float, prev_norm: float, tol_grad: float) -> float:
@@ -287,14 +286,10 @@ def solve_inner(
         prev_norm = g_norm
         lin = _linearization(diffs, mu_axes, e, h)
         floor = _CURVATURE_FLOOR * gershgorin * max(float(np.max(c)) for c in lin.coeffs)
-
-        def apply_h(w: np.ndarray) -> np.ndarray:
-            nonlocal matvecs
-            matvecs += 1
-            return _hessian_product(lin, w)
-
-        diag = _jacobi_diagonal(lin)
-        d, reason = _cg(apply_h, g, eta, vals.size, floor, None if diag is None else 1.0 / diag)
+        d, reason, products = _cg(
+            partial(_hessian_product, lin), g, eta, vals.size, floor, lin.inv_diag
+        )
+        matvecs += products
         curvature_stops += reason == "curvature"
         slope = _dot(g, d)
         if not slope > 0.0:

@@ -1,5 +1,6 @@
 """Config parsing, dispatch, exit codes, and artifact stability."""
 
+import ast
 import contextlib
 import io
 import json
@@ -308,6 +309,20 @@ def test_input_error_leaves_no_output_directory(tmp_path, capsys, command, lines
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     assert "error: weight: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["exponents", "solve"])
+def test_out_under_a_regular_file_exits_one_naming_out(tmp_path, capsys, command):
+    # os.makedirs used to end in a NotADirectoryError traceback.
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    out = blocker / "x"
+    args = [command, "--n", "2", "--m", "5", "--q", "4/3", "--out", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out: ") and str(out) in err
+    assert "Traceback" not in err
+    assert blocker.read_text() == ""
 
 
 def test_exponents_command_writes_record(tmp_path):
@@ -963,3 +978,43 @@ def test_the_public_surface_is_pinned_and_every_name_resolves():
         assert namespace[name] is value and not isinstance(value, types.ModuleType)
     # The function, not the submodule of the same name.
     assert pseudophase.energy is sys.modules["pseudophase.energy"].energy
+
+
+def _private_definitions(tree):
+    """(name, first line, last line) of each private top-level def, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno, node.end_lineno
+
+
+def test_every_private_helper_is_used_in_the_package():
+    # A helper only the tests still call is dead code: the package must name
+    # it somewhere outside its own definition.
+    package = os.path.dirname(pseudophase.__file__)
+    sources = {}
+    for entry in sorted(os.listdir(package)):
+        if entry.endswith(".py"):
+            with open(os.path.join(package, entry), encoding="utf-8") as handle:
+                sources[entry] = handle.read().splitlines(keepends=True)
+    dead = []
+    for entry, lines in sources.items():
+        for name, first, last in _private_definitions(ast.parse("".join(lines))):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            elsewhere = [
+                line
+                for other, other_lines in sources.items()
+                for number, line in enumerate(other_lines, 1)
+                if not (other == entry and first <= number <= last)
+            ]
+            if not any(word.search(line) for line in elsewhere):
+                dead.append(f"{entry}: {name}")
+    assert not dead

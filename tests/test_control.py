@@ -314,7 +314,7 @@ def test_gateaux_derivative_matches_central_differences():
 
 def test_cg_guard_raises_on_negative_curvature(monkeypatch):
     b = np.ones(4)
-    x, reason = _cg(lambda x: -x, b, tol=1e-10, max_iters=10)
+    x, reason, _ = _cg(lambda x: -x, b, tol=1e-10, max_iters=10)
     assert reason == "curvature"
     # The first direction failed, so CG hands back b, the steepest descent.
     assert np.array_equal(x, b)
@@ -330,7 +330,7 @@ def test_cg_guard_raises_on_negative_curvature(monkeypatch):
 
 def test_cg_raises_when_iterations_run_out(monkeypatch):
     A = np.diag(np.arange(1.0, 9.0))
-    x, reason = _cg(lambda x: A @ x, np.ones(8), tol=1e-14, max_iters=2)
+    x, reason, _ = _cg(lambda x: A @ x, np.ones(8), tol=1e-14, max_iters=2)
     assert reason == "max_iters"
     assert np.all(np.isfinite(x)) and x.any()
 
@@ -376,7 +376,7 @@ def _reference_hessian_solve(u, rhs, mu, e, cfg):
         products += 1
         return hessian_apply(u, GridFunction(grid, values), mu, e).values
 
-    solution, reason = _cg(apply_h, np.asarray(rhs.values), cfg.cg_tol, cg_max, inv_diag=inv_diag)
+    solution, reason, _ = _cg(apply_h, np.asarray(rhs.values), cfg.cg_tol, cg_max, inv_diag=inv_diag)
     return solution, reason, products
 
 
@@ -425,15 +425,29 @@ def test_one_adjoint_solve_builds_the_linearization_once(monkeypatch):
     assert len(built) == g.n
 
 
-def test_singular_linearization_raises_only_when_cg_needs_a_product():
-    g = Grid(1, 7)
-    mu = WeightField.constant(g, 0.0)
-    e = Exponents(3.0, 2.0, 1, 0.0)
-    zero = GridFunction.zeros(g)
-    # Every coefficient vanishes at u = 0; a zero rhs makes no product.
-    assert not _hessian_solve(_record(zero, mu, e), zero, _cfg()).values.any()
-    with pytest.raises(SingularLinearizationError, match="eps_reg = 0"):
-        _hessian_solve(_record(zero, mu, e), GridFunction.full(g, 1.0), _cfg())
+@pytest.mark.filterwarnings("error")
+def test_singular_linearization_raises_only_when_cg_needs_a_product(monkeypatch):
+    spy = mock.Mock(wraps=control._hessian_product)
+    monkeypatch.setattr(control, "_hessian_product", spy)
+    for n in (1, 2):
+        g = Grid(n, 7)
+        mu = WeightField.constant(g, 0.0)
+        e = Exponents(3.0, 2.0, n, 0.0)
+        zero = GridFunction.zeros(g)
+        lin = _record(zero, mu, e)
+        assert lin.singular and lin.inv_diag is None
+        psi = SolutionOperator(mu, e, SolverConfig())
+        # Every coefficient vanishes at u = 0; a zero rhs makes no product.
+        with np.errstate(all="raise"):
+            assert not _hessian_solve(lin, zero, _cfg(), psi).values.any()
+            assert psi.adjoint_matvecs == 0
+            # The check comes before CG, which never runs over the singular
+            # record; an rhs whose r.r underflows to 0 raises too.
+            for value in (1.0, 1e-170):
+                with pytest.raises(SingularLinearizationError, match="eps_reg = 0"):
+                    _hessian_solve(lin, GridFunction.full(g, value), _cfg(), psi)
+        assert psi.adjoint_matvecs == 0
+    assert spy.call_count == 0
 
 
 def test_gradients_reject_a_cache_built_for_another_weight_or_exponents():

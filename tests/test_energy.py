@@ -25,7 +25,6 @@ from pseudophase import (
 from pseudophase.energy import (
     _check_nonsingular,
     _hessian_product,
-    _jacobi_diagonal,
     _linearization,
     _raw_energy_decrease,
 )
@@ -464,8 +463,10 @@ def test_jacobi_diagonal_equals_hessian_apply_on_the_indicators(n, m, pq, eps_re
     vals = 10.0 ** rng.uniform(-4.0, 1.0) * rng.standard_normal(g.shape)
     vals[rng.random(g.shape) < 0.3] = 0.0
     u = GridFunction(g, vals)
-    diag = _jacobi_diagonal(_linearization(_diffs(u.values, g.h), mu.per_axis, e, g.h))
-    assert np.array_equal(diag, _indicator_diagonal(u, mu, e))
+    lin = _linearization(_diffs(u.values, g.h), mu.per_axis, e, g.h)
+    assert np.array_equal(lin.diag, _indicator_diagonal(u, mu, e))
+    inverse = 1.0 / lin.diag
+    assert lin.inv_diag.shape == inverse.shape and lin.inv_diag.tobytes() == inverse.tobytes()
 
 
 @pytest.mark.parametrize("weight", ["zero", "ramp"])
@@ -477,7 +478,7 @@ def test_jacobi_diagonal_is_none_where_a_node_loses_every_coefficient(weight):
     mu = WeightField.constant(g, 0.0) if weight == "zero" else WeightField.ramp(g, 2.0)
     with np.errstate(all="raise"):
         lin = _linearization(_diffs(np.zeros(g.shape), g.h), mu.per_axis, e, g.h)
-        assert _jacobi_diagonal(lin) is None
+        assert lin.inv_diag is None
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import importlib
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,11 +248,11 @@ def test_cg_truncates_at_null_curvature_with_its_current_iterate():
     # by the tiny curvature.
     A = np.diag([1.0, 1e-20])
     b = np.array([1.0, 1.0])
-    x, reason = _cg(lambda v: A @ v, b, tol=1e-12, max_iters=10, curvature_floor=1e-12)
+    x, reason, _ = _cg(lambda v: A @ v, b, tol=1e-12, max_iters=10, curvature_floor=1e-12)
     assert reason == "curvature"
     step = (b @ b) / (b @ A @ b)
     assert np.array_equal(x, step * b)
-    x, reason = _cg(lambda v: A @ v, b, tol=1e-12, max_iters=10)
+    x, reason, _ = _cg(lambda v: A @ v, b, tol=1e-12, max_iters=10)
     assert reason == "converged"
     assert np.max(np.abs(x)) > 1e19
 
@@ -316,9 +317,13 @@ def test_cg_without_a_preconditioner_repeats_the_frozen_iterates(
     A, b = _cg_case(kind, size, seed)
     expected, why = _frozen_cg(lambda v: A @ v, b, tol, max_iters, floor)
     for inv_diag in (None, np.ones(size)):
-        x, reason = _cg(lambda v: A @ v, b, tol, max_iters, floor, inv_diag)
+        calls = []
+        x, reason, products = _cg(
+            lambda v: calls.append(1) or A @ v, b, tol, max_iters, floor, inv_diag
+        )
         assert reason == why
         assert np.array_equal(x, expected)
+        assert products == len(calls)
 
 
 def test_cg_with_the_frozen_curvature_cases_and_a_unit_diagonal():
@@ -328,8 +333,8 @@ def test_cg_with_the_frozen_curvature_cases_and_a_unit_diagonal():
         expected = _frozen_cg(lambda v: A @ v, b, 1e-12, 10, floor)
         got = _cg(lambda v: A @ v, b, 1e-12, 10, floor, np.ones(2))
         assert got[1] == expected[1] and np.array_equal(got[0], expected[0])
-    x, reason = _cg(lambda v: -v, np.ones(4), 1e-10, 10, inv_diag=np.ones(4))
-    assert reason == "curvature" and np.array_equal(x, np.ones(4))
+    x, reason, products = _cg(lambda v: -v, np.ones(4), 1e-10, 10, inv_diag=np.ones(4))
+    assert reason == "curvature" and np.array_equal(x, np.ones(4)) and products == 1
 
 
 def _frozen_jacobi_cg(apply_A, b, tol, max_iters, curvature_floor, inv_diag):
@@ -377,9 +382,13 @@ def test_jacobi_cg_repeats_the_frozen_iterates(kind, size, seed, tol, max_iters,
     A, b = _cg_case(kind, size, seed)
     inv_diag = 10.0 ** np.random.default_rng(seed).uniform(-2.0, 2.0, size)
     expected, why = _frozen_jacobi_cg(lambda v: A @ v, b, tol, max_iters, floor, inv_diag)
-    x, reason = _cg(lambda v: A @ v, b, tol, max_iters, floor, inv_diag)
+    calls = []
+    x, reason, products = _cg(
+        lambda v: calls.append(1) or A @ v, b, tol, max_iters, floor, inv_diag
+    )
     assert reason == why
     assert np.array_equal(x, expected)
+    assert products == len(calls)
 
 
 @settings(max_examples=60, deadline=None)
@@ -436,11 +445,9 @@ def test_jacobi_cg_stops_on_the_unpreconditioned_residual():
     b = rng.standard_normal(size)
     counts = {}
     for name, inv_diag in (("plain", None), ("jacobi", 1.0 / np.diag(A))):
-        products = []
-        x, reason = _cg(lambda v: products.append(1) or A @ v, b, 1e-8, 10 * size, 0.0, inv_diag)
+        x, reason, counts[name] = _cg(lambda v: A @ v, b, 1e-8, 10 * size, 0.0, inv_diag)
         assert reason == "converged"
         assert np.linalg.norm(b - A @ x) <= 2e-8 * np.linalg.norm(b)
-        counts[name] = len(products)
     assert counts["jacobi"] < counts["plain"]
 
 
@@ -465,7 +472,10 @@ def test_jacobi_and_plain_newton_agree_to_the_tolerance(monkeypatch):
     f, mu, e = _ramp_sine_problem(31)
     cfg = SolverConfig(tol_grad=1e-8)
     jacobi = solve_inner(f, mu, e, cfg)
-    monkeypatch.setattr(solver_module, "_jacobi_diagonal", lambda lin: None)
+    real = solver_module._linearization
+    monkeypatch.setattr(
+        solver_module, "_linearization", lambda *args: replace(real(*args), inv_diag=None)
+    )
     plain = solve_inner(f, mu, e, cfg)
     assert jacobi.converged and plain.converged
     assert plain.matvecs > 10 * jacobi.matvecs
@@ -479,9 +489,9 @@ def test_the_report_counts_the_newton_steps_whose_cg_met_null_curvature(monkeypa
     reasons = []
 
     def spy(*args, **kwargs):
-        x, reason = real(*args, **kwargs)
-        reasons.append(reason)
-        return x, reason
+        out = real(*args, **kwargs)
+        reasons.append(out[1])
+        return out
 
     monkeypatch.setattr(solver_module, "_cg", spy)
     rep = solve_inner(*_ramp_sine_problem(31), SolverConfig(tol_grad=1e-6))
@@ -525,7 +535,7 @@ def test_jacobi_cg_holds_five_vectors_beyond_what_its_products_allocate():
     f, mu, e = _ramp_sine_problem(63)
     h = f.grid.h
     lin = energy_module._linearization(grid_module._diffs(0.01 * f.values, h), mu.per_axis, e, h)
-    inv_diag = 1.0 / energy_module._jacobi_diagonal(lin)
+    inv_diag = lin.inv_diag
     vector = 8 * f.values.size
 
     def traced_peak(fn):
