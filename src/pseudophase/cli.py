@@ -83,29 +83,33 @@ def _parse(key: str, value: object) -> object:
 
 @contextmanager
 def _section(name: str):
-    """Re-raise a record's ValueError as a ConfigError naming its section."""
+    """Re-raise a ValueError, or an input file's OSError, as a ConfigError naming name."""
     try:
         yield
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         raise ConfigError(f"{name}: {err}") from err
 
 
 def _read_config_file(path: str) -> dict[str, str]:
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"{path}: {err}") from None
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value.strip()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -158,7 +162,6 @@ def parse_config(
             tol_reduced=keys["control.tol_reduced"],
             max_outer=keys["control.max_outer"],
             cg_tol=keys["control.cg_tol"],
-            alpha=keys["control.alpha"],
         )
     return RunConfig(grid, exponents, solver, control, keys)
 
@@ -343,7 +346,7 @@ def _cmd_control(config: RunConfig) -> int:
     if not u_d.converged:
         print("error: forward solve for the tracking target did not converge", file=sys.stderr)
         return 2
-    obj = tracking_objective(u_d.u_star, config.control.alpha)
+    obj = tracking_objective(u_d.u_star, config["control.alpha"])
     report = optimize_control(obj, GridFunction.zeros(grid), mu, e, config.control)
     write_grid_function(report.f_star, _artifact(config, "f_star.csv"))
     write_grid_function(report.u_star, _artifact(config, "u_star.csv"))
@@ -355,7 +358,7 @@ def _cmd_control(config: RunConfig) -> int:
             ("m", grid.m),
             ("p", e.p),
             ("q", e.q),
-            ("alpha", config.control.alpha),
+            ("alpha", config["control.alpha"]),
             ("seed", config["seed"]),
             ("converged", report.converged),
             ("status", report.status),
@@ -405,7 +408,7 @@ _KEYS: dict[str, tuple[type, object, tuple[str, ...] | None]] = {
     # Looser than SolverConfig's own default tol_grad = 1e-8.
     "solver.tol": (float, 1e-6, None),
     "solver.max_iters": (int, SolverConfig.max_iters, None),
-    "control.alpha": (float, ControlConfig.alpha, None),
+    "control.alpha": (float, 1e-6, None),
     "control.tol_reduced": (float, ControlConfig.tol_reduced, None),
     "control.max_outer": (int, ControlConfig.max_outer, None),
     "control.cg_tol": (float, ControlConfig.cg_tol, None),
@@ -436,7 +439,7 @@ _SWITCHES = {
 }
 
 #: Lower bounds of the keys that no record checks when it is built.
-_AT_LEAST = {"seed": 0, "convexity.trials": 1, "convexity.gamma": 1.0}
+_AT_LEAST = {"seed": 0, "control.alpha": 0.0, "convexity.trials": 1, "convexity.gamma": 1.0}
 
 
 def run(config: RunConfig) -> int:
@@ -447,6 +450,10 @@ def run(config: RunConfig) -> int:
         status = _COMMANDS[command](config)
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except OSError as err:
+        # Input reads map to ConfigError in _section: this is an artifact write.
+        print(f"error: out: {err}", file=sys.stderr)
         return 1
     except (InnerSolveError, CGBreakdownError, SingularLinearizationError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -166,7 +166,6 @@ class ControlConfig:
     tol_reduced: float = 1e-5
     max_outer: int = 10_000
     cg_tol: float = 1e-10
-    alpha: float = 1e-6
 
     def __post_init__(self) -> None:
         if not (self.tol_reduced > 0.0 and math.isfinite(self.tol_reduced)):
@@ -179,8 +178,6 @@ class ControlConfig:
             raise ValueError(
                 f"cg_tol must be below tol_reduced, got {self.cg_tol} >= {self.tol_reduced}"
             )
-        if not (self.alpha >= 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -232,7 +229,7 @@ class SolutionOperator:
         tol = self.inner.tol_grad if tol is None else tol
         if self._last is not None and self._last[0] == key and self._last[1] <= tol:
             return self._last[2]
-        rep = solve_inner(f, self.mu, self.exponents, replace(self.inner, tol_grad=tol, init=warm))
+        rep = solve_inner(f, self.mu, self.exponents, replace(self.inner, tol_grad=tol), warm)
         self.solves += 1
         self.matvecs += rep.matvecs
         if not rep.converged:

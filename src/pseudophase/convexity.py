@@ -20,11 +20,11 @@ are drawn from their own per-trial streams, seeded in bulk by _pcg64_states,
 and evaluated _CHUNK at a time with the per-point arithmetic of a one-point
 evaluation, so a certificate does not depend on how the trials are grouped.
 
-Two estimate conventions coexist on purpose.  run_trial reports pass/fail
-with a round-off allowance (tol_trial), so exact boundary cases read as
-passes.  The bisection inside estimate_modulus scores trials with no
-allowance at all, so the certified modulus never overstates what the
-samples support.
+Two estimate conventions coexist on purpose.  check_sum_lemma reports
+pass/fail with a round-off allowance (TRIAL_TOL_REL), so exact boundary
+cases read as passes.  The bisection inside estimate_modulus scores trials
+with no allowance at all, so the certified modulus never overstates what
+the samples support.
 """
 
 from __future__ import annotations
@@ -33,25 +33,23 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .grid import Grid, _sobolev_norms
 
 __all__ = [
-    "HyperconvexityTrial",
     "ConvexityCertificate",
     "SampledSpace",
     "SamplerConfig",
     "real_line_space",
     "grid_function_space",
-    "run_trial",
     "estimate_modulus",
     "check_sum_lemma",
 ]
 
-#: Relative round-off allowance for the pass/fail verdict of a single trial.
+#: Relative round-off allowance for check_sum_lemma's pass/fail verdict on a trial.
 TRIAL_TOL_REL = 1e-10
 
 #: Interpolation weights probed deterministically before the random draws.
@@ -78,20 +76,6 @@ _PCG64_FRESH = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
 
 #: A functional or norm on a stack of points: one value per point.
 Stacked = Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class HyperconvexityTrial:
-    """One evaluated instance of the hyperconvexity inequality."""
-
-    x: Any
-    y: Any
-    theta: float
-    gamma: float
-    c: float
-    defect: float
-    tol: float
-    passed: bool
 
 
 @dataclass(frozen=True)
@@ -177,15 +161,6 @@ def grid_function_space(grid: Grid, p: float) -> SampledSpace:
     return SampledSpace(sample=sample, norm=norm)
 
 
-def _default_norm(points: np.ndarray) -> np.ndarray:
-    if points.ndim == 1:
-        return np.abs(points)
-    raise TypeError(
-        "pass the space's norm explicitly for non-scalar points "
-        "(e.g. norm=grid_function_space(grid, p).norm)"
-    )
-
-
 def _powers(values: np.ndarray, exponent: float) -> np.ndarray:
     """values ** exponent in Python floats, one at a time; overflow gives inf.
 
@@ -224,51 +199,6 @@ def _trial_parts(
     basis = np.minimum(theta, 1.0 - theta) * _powers(dist, gamma)
     scale = np.abs(fx) + np.abs(fy) + np.abs(fc)
     return gap, basis, scale
-
-
-def run_trial(
-    F: Stacked,
-    x: Any,
-    y: Any,
-    theta: float,
-    gamma: float,
-    c: float,
-    norm: Stacked | None = None,
-) -> HyperconvexityTrial:
-    """Evaluate the hyperconvexity defect for one (x, y, theta) triple.
-
-    x and y are single points; F and norm take stacks of points, and the
-    triple is evaluated as a stack of one.  The defect is the inequality's
-    left side minus its right side; the trial passes when defect >= -tol
-    with tol = 1e-10 times the magnitude of the three functional values, so
-    exact boundary cases are not lost to round-off.
-    """
-    if not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must lie in (0,1), got {theta}")
-    if not c > 0.0:
-        raise ValueError(f"the modulus must be strictly positive, got c={c}")
-    if gamma < 1.0:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
-    if norm is None:
-        norm = _default_norm
-    xs = np.asarray(x, dtype=float)[None]
-    ys = np.asarray(y, dtype=float)[None]
-    gap, basis, scale = (
-        float(part[0])
-        for part in _trial_parts(F, xs, ys, np.array([theta]), gamma, norm(xs - ys))
-    )
-    defect = gap - c * basis
-    tol = TRIAL_TOL_REL * scale
-    return HyperconvexityTrial(
-        x=x,
-        y=y,
-        theta=theta,
-        gamma=gamma,
-        c=c,
-        defect=defect,
-        tol=tol,
-        passed=bool(defect >= -tol),
-    )
 
 
 def _pcg64_states(seed: int, indices: range) -> list[tuple[int, int]]:

@@ -187,7 +187,6 @@ def _backtrack(
 class SolverConfig:
     tol_grad: float = 1e-8
     max_iters: int = 50_000  # Newton steps
-    init: GridFunction | None = None
 
     def __post_init__(self) -> None:
         if not (self.tol_grad > 0.0 and math.isfinite(self.tol_grad)):
@@ -237,19 +236,21 @@ def solve_inner(
     mu: WeightField,
     e: Exponents,
     cfg: SolverConfig = SolverConfig(),
+    init: GridFunction | None = None,
 ) -> SolveReport:
-    """Minimize the discrete energy for forcing f; never raises on slow runs.
+    """Minimize the discrete energy for forcing f from init, by default zero.
 
-    Returns the best iterate with status "max_iters" or "stalled" when the
-    Newton step cap is hit or no representable step makes certified
-    progress; status "converged" means final_grad_norm <= tol_grad.  The
-    energy trace holds the initial energy followed by the post-step values.
-    Every accepted step is certified to decrease J, so the trace never
-    increases; a value repeats only when the certified decrease is below the
-    rounding of J.  Raises ValueError when f or cfg.init is not finite.
+    Never raises on slow runs: returns the best iterate with status
+    "max_iters" or "stalled" when the Newton step cap is hit or no
+    representable step makes certified progress; status "converged" means
+    final_grad_norm <= tol_grad.  The energy trace holds the initial energy
+    followed by the post-step values.  Every accepted step is certified to
+    decrease J, so the trace never increases; a value repeats only when the
+    certified decrease is below the rounding of J.  Raises ValueError when f
+    or init is not finite, or init lives on another grid.
     """
     grid = f.grid
-    u = GridFunction.zeros(grid) if cfg.init is None else cfg.init
+    u = GridFunction.zeros(grid) if init is None else init
     if u.grid != grid:
         raise ValueError("initial iterate lives on a different grid")
     for name, field in (("forcing", f), ("initial iterate", u)):

@@ -194,11 +194,10 @@ def test_criterion_05_state_uniqueness():
     mu = WeightField.constant(g, 1.0)
     x, y = np.meshgrid(*g.node_coords(), indexing="ij")
     f = GridFunction(g, np.sin(np.pi * x) * np.sin(np.pi * y))
-    cold = SolverConfig(tol_grad=1e-6, max_iters=400_000)
+    cfg = SolverConfig(tol_grad=1e-6, max_iters=400_000)
     warm_init = GridFunction(g, 0.1 * np.random.default_rng(7).standard_normal(g.shape))
-    warm = SolverConfig(tol_grad=1e-6, max_iters=400_000, init=warm_init)
-    a = solve_inner(f, mu, e, cold)
-    b = solve_inner(f, mu, e, warm)
+    a = solve_inner(f, mu, e, cfg)
+    b = solve_inner(f, mu, e, cfg, init=warm_init)
     assert a.converged and b.converged
     diff = sobolev_norm(a.u_star - b.u_star, e.p)
     _verdict(5, "uniqueness of the state", diff <= 1e-6, f"sobolev diff {diff:.3e} <= 1e-6")
@@ -283,7 +282,7 @@ def test_criterion_08_adjoint_reduced_gradient():
     e = Exponents(4.0, 4.0 / 3.0, 2, 1e-4)
     mu = WeightField.constant(g, 1.0)
     inner = SolverConfig(tol_grad=1e-10, max_iters=400_000)
-    cfg = ControlConfig(inner=inner, tol_reduced=1e-6, cg_tol=1e-12, alpha=1e-6)
+    cfg = ControlConfig(inner=inner, tol_reduced=1e-6, cg_tol=1e-12)
     cache = SolutionOperator(mu, e, inner)
     x, y = np.meshgrid(*g.node_coords(), indexing="ij")
     f_hat = GridFunction(g, 5.0 * np.sin(np.pi * x) * np.sin(np.pi * y))
@@ -312,7 +311,7 @@ def test_criterion_09_end_to_end_control():
     e = Exponents(4.0, 4.0 / 3.0, 2, 1e-4)
     mu = WeightField.constant(g, 1.0)
     inner = SolverConfig(tol_grad=1e-10, max_iters=400_000)
-    cfg = ControlConfig(inner=inner, tol_reduced=1e-6, cg_tol=1e-12, alpha=1e-6)
+    cfg = ControlConfig(inner=inner, tol_reduced=1e-6, cg_tol=1e-12)
     x, y = np.meshgrid(*g.node_coords(), indexing="ij")
     f_hat = GridFunction(g, 5.0 * np.sin(np.pi * x) * np.sin(np.pi * y))
     u_d = solve_inner(f_hat, mu, e, inner).u_star

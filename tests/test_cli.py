@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -18,14 +19,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pseudophase
+import pseudophase.cli as cli
 from pseudophase import (
     ConfigError,
+    ControlConfig,
     Exponents,
     Grid,
     GridFunction,
+    SolverConfig,
     WeightField,
     energy,
+    optimize_control,
     read_grid_function,
+    solve_inner,
+    tracking_objective,
+    validate_exponents,
     write_grid_function,
 )
 from pseudophase.cli import (
@@ -325,6 +333,51 @@ def test_out_under_a_regular_file_exits_one_naming_out(tmp_path, capsys, command
     assert blocker.read_text() == ""
 
 
+def test_an_artifact_write_that_fails_exits_one_naming_out(tmp_path, capsys):
+    # Opening u.csv when it is a directory used to end in an IsADirectoryError traceback.
+    out = tmp_path / "out"
+    (out / "u.csv").mkdir(parents=True)
+    assert main(["solve", "--q", "1.5", "--p", "3", "--m", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out: ") and str(out / "u.csv") in err
+    assert "Traceback" not in err
+
+
+def test_an_input_read_that_fails_exits_one_naming_its_section(tmp_path, capsys, monkeypatch):
+    def unreadable(path, grid=None):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "read_grid_function", unreadable)
+    weight = tmp_path / "mu.csv"
+    write_grid_function(GridFunction.full(Grid(1, 5), 1.0), str(weight))
+    cfg = _write(
+        tmp_path,
+        "run.cfg",
+        f"command = solve\nexponents.q = 1.5\nexponents.p = 3\ngrid.m = 5\n"
+        f"weight.kind = csv\nweight.path = {weight}\n",
+    )
+    assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: weight: [Errno 13] Permission denied")
+
+
+def test_a_config_file_that_is_not_utf8_exits_one_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"command = solve\nexponents.q = 1.5  # \xff\n")
+    assert main(["--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "utf-8" in err
+
+
+def test_a_config_file_that_cannot_be_read_exits_one_naming_the_file(tmp_path, capsys, monkeypatch):
+    def unreadable(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    path = _write(tmp_path, "run.cfg", "command = solve\nexponents.q = 1.5\n")
+    monkeypatch.setattr(cli, "open", unreadable, raising=False)
+    assert main(["--config", path]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: [Errno 13] Permission denied")
+
+
 def test_exponents_command_writes_record(tmp_path):
     out = str(tmp_path / "out")
     code = main(
@@ -524,6 +577,32 @@ def test_control_command_round_trip(tmp_path):
     assert f_star.grid == Grid(1, 7)
     assert u_star.grid == Grid(1, 7)
     assert f_star.values.any()
+
+
+def test_control_alpha_reaches_the_objective(tmp_path, capsys):
+    text = (
+        "command = control\ngrid.n = 1\ngrid.m = 7\n"
+        "exponents.mode = relaxed\nexponents.q = 4/3\nexponents.p = 4\n"
+        "exponents.epsilon = 1e-4\nforcing.kind = constant\nforcing.value = 1\n"
+        "solver.tol = 1e-9\ncontrol.tol_reduced = 1e-7\ncontrol.cg_tol = 1e-11\n"
+    )
+    out = tmp_path / "out"
+    run_cfg = _write(tmp_path, "run.cfg", text + "control.alpha = 1e-3\n")
+    assert main(["--config", run_cfg, "--out", str(out)]) == 0
+    assert _read_record(out / "report.txt")["alpha"] == "0.001"
+    g = Grid(1, 7)
+    mu = WeightField.constant(g, 1.0)
+    e = validate_exponents(4.0 / 3.0, 1, "relaxed", 4.0, eps_reg=1e-4)
+    inner = SolverConfig(tol_grad=1e-9)
+    u_d = solve_inner(GridFunction.full(g, 1.0), mu, e, inner).u_star
+    cfg = ControlConfig(inner=inner, tol_reduced=1e-7, cg_tol=1e-11)
+    rep = optimize_control(tracking_objective(u_d, 1e-3), GridFunction.zeros(g), mu, e, cfg)
+    write_grid_function(rep.f_star, str(tmp_path / "f_star.csv"))
+    assert (out / "f_star.csv").read_bytes() == (tmp_path / "f_star.csv").read_bytes()
+    capsys.readouterr()
+    negative = _write(tmp_path, "neg.cfg", text + "control.alpha = -1\n")
+    assert main(["--config", negative, "--out", str(tmp_path / "neg")]) == 1
+    assert capsys.readouterr().err == "error: control.alpha: must be >= 0.0, got -1.0\n"
 
 
 def test_control_report_counts_its_products_byte_stably(tmp_path):
@@ -960,8 +1039,8 @@ _PUBLIC_NAMES = [
     "inner_product", "sobolev_norm", "write_grid_function", "read_grid_function",
     "Exponents", "WeightField", "EnergyBreakdown", "validate_exponents", "energy",
     "energy_gradient", "apply_pseudo_operator", "apply_divergence_operator", "weak_residual",
-    "hessian_apply", "HyperconvexityTrial", "ConvexityCertificate", "SampledSpace",
-    "SamplerConfig", "real_line_space", "grid_function_space", "run_trial", "estimate_modulus",
+    "hessian_apply", "ConvexityCertificate", "SampledSpace",
+    "SamplerConfig", "real_line_space", "grid_function_space", "estimate_modulus",
     "check_sum_lemma", "SolverConfig", "SolveReport", "solve_inner", "Objective",
     "ControlConfig", "ControlReport", "SolutionOperator", "tracking_objective",
     "gateaux_derivative", "reduced_gradient", "optimize_control", "ConfigError",
@@ -994,6 +1073,31 @@ def _private_definitions(tree):
         for name in names:
             if name.startswith("_") and not name.startswith("__"):
                 yield name, node.lineno, node.end_lineno
+
+
+def test_every_solver_and_control_config_field_is_read():
+    # A field that nothing reads drops whatever a caller sets on it.
+    package = os.path.dirname(pseudophase.__file__)
+    unread = []
+    for record in (SolverConfig, ControlConfig):
+        lines = []
+        for entry in ("solver.py", "control.py"):
+            with open(os.path.join(package, entry), encoding="utf-8") as handle:
+                source = handle.read()
+            own = [
+                range(node.lineno, node.end_lineno + 1)
+                for node in ast.parse(source).body
+                if isinstance(node, ast.ClassDef) and node.name == record.__name__
+            ]
+            lines += [
+                line
+                for number, line in enumerate(source.splitlines(), 1)
+                if not any(number in body for body in own)
+            ]
+        for field in dataclasses.fields(record):
+            if not any(re.search(rf"\.{field.name}\b", line) for line in lines):
+                unread.append(f"{record.__name__}.{field.name}")
+    assert not unread
 
 
 def test_every_private_helper_is_used_in_the_package():

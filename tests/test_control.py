@@ -196,8 +196,6 @@ def test_non_finite_alpha_is_rejected(alpha):
     g = Grid(1, 3)
     with pytest.raises(ValueError, match="alpha must be finite"):
         tracking_objective(GridFunction.zeros(g), alpha=alpha)
-    with pytest.raises(ValueError, match="alpha must be finite"):
-        _cfg(alpha=alpha)
 
 
 def test_solution_operator_is_linear_for_quadratic_exponents():
@@ -249,9 +247,9 @@ def test_solution_operator_replays_only_a_solve_at_least_as_tight(monkeypatch):
     real = control.solve_inner
     tols = []
 
-    def counting(f, mu, e, cfg):
+    def counting(f, mu, e, cfg, init=None):
         tols.append(cfg.tol_grad)
-        return real(f, mu, e, cfg)
+        return real(f, mu, e, cfg, init)
 
     monkeypatch.setattr(control, "solve_inner", counting)
     g = Grid(1, 9)
@@ -534,7 +532,7 @@ def test_optimize_control_recognizes_a_stationary_start():
     f0 = GridFunction.zeros(g)
     u_d = SolutionOperator(mu, TWO_PHASE, _tight_inner())(f0)
     obj = tracking_objective(u_d, alpha=0.5)
-    rep = optimize_control(obj, f0, mu, TWO_PHASE, _cfg(alpha=0.5))
+    rep = optimize_control(obj, f0, mu, TWO_PHASE, _cfg())
     assert rep.converged
     assert rep.outer_iters == 0
     assert len(rep.objective_trace) == 1
@@ -549,7 +547,7 @@ def test_optimize_control_drives_the_state_to_the_target():
     u_d = SolutionOperator(mu, QUAD, inner)(f_hat)
     alpha = 1e-4
     obj = tracking_objective(u_d, alpha)
-    cfg = _cfg(tol_reduced=1e-7, cg_tol=1e-12, alpha=alpha)
+    cfg = _cfg(tol_reduced=1e-7, cg_tol=1e-12)
     rep = optimize_control(obj, GridFunction.zeros(g), mu, QUAD, cfg)
     assert rep.converged
     assert rep.stationarity <= 1e-7
@@ -568,7 +566,7 @@ def test_optimize_control_strong_regularization_keeps_f_small():
     u_d = GridFunction(g, rng.standard_normal(g.shape))
     alpha = 1e6
     obj = tracking_objective(u_d, alpha)
-    cfg = _cfg(tol_reduced=1e-4, alpha=alpha)
+    cfg = _cfg(tol_reduced=1e-4)
     rep = optimize_control(obj, GridFunction.zeros(g), mu, TWO_PHASE, cfg)
     assert rep.converged
     # Stationarity alpha*f + lambda = 0 with bounded lambda pins f near 0.
@@ -618,7 +616,7 @@ def _outlier_case(seed, amplitude, m):
     )
     inner = SolverConfig(tol_grad=1e-8)
     u_d = SolutionOperator(mu, e, inner)(GridFunction(g, target))
-    cfg = ControlConfig(inner=inner, alpha=1e-6, tol_reduced=1e-5, cg_tol=1e-10)
+    cfg = ControlConfig(inner=inner, tol_reduced=1e-5, cg_tol=1e-10)
     return optimize_control(tracking_objective(u_d, 1e-6), GridFunction.zeros(g), mu, e, cfg)
 
 
@@ -670,7 +668,7 @@ def test_control_result_meets_the_optimality_system_by_a_dense_solve(monkeypatch
     inner = _tight_inner()
     u_d = SolutionOperator(mu, e, inner)(GridFunction(g, shape))
     alpha = 1e-4
-    cfg = ControlConfig(inner=inner, alpha=alpha, tol_reduced=1e-6, cg_tol=1e-11)
+    cfg = ControlConfig(inner=inner, tol_reduced=1e-6, cg_tol=1e-11)
     rep = optimize_control(tracking_objective(u_d, alpha), GridFunction.zeros(g), mu, e, cfg)
     assert rep.converged and rep.outer_iters >= 1
     f_off = 1.01 * rep.f_star
@@ -700,17 +698,17 @@ def test_control_report_counts_every_newton_and_adjoint_product(
     u_d = SolutionOperator(mu, e, _tight_inner())(GridFunction(g, 20.0 * np.sin(np.pi * x) * y))
     obj = tracking_objective(u_d, alpha)
     inner = SolverConfig(tol_grad=1e-9, max_iters=inner_iters)
-    cfg = ControlConfig(inner=inner, tol_reduced=1e-6, max_outer=max_outer, alpha=alpha)
+    cfg = ControlConfig(inner=inner, tol_reduced=1e-6, max_outer=max_outer)
     inner_reports = []
     real_solve = control.solve_inner
     warm_starts = []
-    monkeypatch.setattr(
-        control,
-        "solve_inner",
-        lambda *args: warm_starts.append(args[3].init is not None)
-        or inner_reports.append(real_solve(*args))
-        or inner_reports[-1],
-    )
+
+    def spy_solve(f, mu, e, cfg, init=None):
+        warm_starts.append(init is not None)
+        inner_reports.append(real_solve(f, mu, e, cfg, init))
+        return inner_reports[-1]
+
+    monkeypatch.setattr(control, "solve_inner", spy_solve)
     spy = mock.Mock(wraps=control._hessian_product)
     monkeypatch.setattr(control, "_hessian_product", spy)
     solves = mock.Mock(wraps=control._hessian_solve)
@@ -750,7 +748,7 @@ def _tracking_case():
     e = Exponents(4.0, 4.0 / 3.0, 2, 1e-4)
     x, y = np.meshgrid(*g.node_coords(), indexing="ij")
     u_d = SolutionOperator(mu, e, _tight_inner())(GridFunction(g, 20.0 * np.sin(np.pi * x) * y))
-    cfg = ControlConfig(inner=SolverConfig(tol_grad=1e-9), tol_reduced=1e-6, alpha=1e-4)
+    cfg = ControlConfig(inner=SolverConfig(tol_grad=1e-9), tol_reduced=1e-6)
     return tracking_objective(u_d, 1e-4), g, mu, e, cfg
 
 
@@ -873,7 +871,5 @@ def test_control_config_validation():
         ControlConfig(inner=inner, tol_reduced=1e-10, cg_tol=1e-8)
     with pytest.raises(ValueError, match="tol_reduced"):
         ControlConfig(inner=inner, tol_reduced=0.0)
-    with pytest.raises(ValueError, match="alpha"):
-        ControlConfig(inner=inner, alpha=-1.0)
     with pytest.raises(ValueError, match="max_outer"):
         ControlConfig(inner=inner, max_outer=0)

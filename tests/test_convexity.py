@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudophase import (
+    ConvexityCertificate,
     Exponents,
     Grid,
     GridFunction,
@@ -20,7 +21,6 @@ from pseudophase import (
     forward_diff,
     grid_function_space,
     real_line_space,
-    run_trial,
     sobolev_norm,
 )
 import pseudophase.convexity as lab
@@ -39,80 +39,6 @@ def stacked_energy(mu, e):
         return p_term + q_term
 
     return J
-
-
-def test_run_trial_boundary_case_passes_exactly():
-    # x**2 is 2-hyperconvex with modulus exactly 1/2; theta = 1/2 attains it.
-    t = run_trial(square, 0.0, 2.0, theta=0.5, gamma=2.0, c=0.5)
-    assert t.defect == 0.0
-    assert t.passed
-
-
-def test_run_trial_coincident_points_pass():
-    # x == y zeroes the penalty, so only round-off in the gap remains.
-    t = run_trial(square, 1.5, 1.5, theta=0.3, gamma=2.0, c=100.0)
-    assert abs(t.defect) <= t.tol
-    assert t.passed
-
-
-def test_run_trial_small_theta_probe():
-    t = run_trial(square, -1.0, 3.0, theta=0.01, gamma=2.0, c=0.5)
-    assert t.defect > 0.0
-    assert t.passed
-
-
-def test_run_trial_linear_function_fails():
-    t = run_trial(lambda x: 3.0 * x + 1.0, 0.0, 1.0, theta=0.25, gamma=2.0, c=1.0)
-    assert not t.passed
-    assert t.defect < 0.0
-
-
-@pytest.mark.parametrize("theta", [0.0, 1.0, -0.1, 1.5])
-def test_run_trial_rejects_bad_theta(theta):
-    with pytest.raises(ValueError, match="theta"):
-        run_trial(square, 0.0, 1.0, theta=theta, gamma=2.0, c=0.5)
-
-
-def test_run_trial_requires_positive_modulus():
-    with pytest.raises(ValueError, match="strictly positive"):
-        run_trial(square, 0.0, 1.0, theta=0.5, gamma=2.0, c=0.0)
-    with pytest.raises(ValueError, match="strictly positive"):
-        run_trial(square, 0.0, 1.0, theta=0.5, gamma=2.0, c=-1.0)
-
-
-def test_run_trial_rejects_sublinear_gamma():
-    with pytest.raises(ValueError, match="gamma"):
-        run_trial(square, 0.0, 1.0, theta=0.5, gamma=0.5, c=0.5)
-
-
-def test_run_trial_needs_explicit_norm_for_vectors():
-    g = Grid(1, 3)
-    norm = grid_function_space(g, 2.0).norm
-    u = np.zeros(3)
-    v = np.ones(3)
-    with pytest.raises(TypeError, match="norm"):
-        run_trial(lambda w: norm(w) ** 2, u, v, 0.5, 2.0, 0.1)
-    t = run_trial(lambda w: norm(w) ** 2, u, v, 0.5, 2.0, 0.1, norm=norm)
-    assert t.passed
-
-
-@given(
-    st.floats(0.01, 0.99),
-    st.floats(-5.0, 5.0),
-    st.floats(-5.0, 5.0),
-)
-def test_run_trial_weight_swap_symmetry(theta, x, y):
-    a = run_trial(square, x, y, theta, 2.0, 0.25)
-    b = run_trial(square, y, x, 1.0 - theta, 2.0, 0.25)
-    assert a.defect == pytest.approx(b.defect, rel=1e-9, abs=1e-12)
-
-
-@given(st.floats(0.05, 0.5), st.floats(0.6, 2.0))
-def test_run_trial_defect_decreases_with_modulus(c1, c2):
-    a = run_trial(square, -1.0, 2.0, 0.3, 2.0, c1)
-    b = run_trial(square, -1.0, 2.0, 0.3, 2.0, c2)
-    basis = min(0.3, 0.7) * abs(-1.0 - 2.0) ** 2.0
-    assert b.defect == pytest.approx(a.defect - (c2 - c1) * basis, rel=1e-12)
 
 
 def test_estimate_modulus_is_deterministic():
@@ -227,6 +153,21 @@ def test_sum_lemma_certifies_the_p_exponent():
     assert total.failures == 0
     assert total.c_estimate == h_cert.c_estimate
     assert total.gamma == 4.0
+
+
+@pytest.mark.parametrize("shortfall, failures", [(0.5, 0), (2.0, 1)])
+def test_sum_lemma_forgives_round_off_of_the_functional_values_only(shortfall, failures):
+    # Defect gap - c * basis = -shortfall * TRIAL_TOL_REL * scale on the one trial.
+    h_cert = ConvexityCertificate(1, 0, 0.5, 0, 2.0, 0.0)
+    g_cert = ConvexityCertificate(1, 0, 0.1, 0, 1.5, 0.0)
+    cfg = SamplerConfig(seed=0, trials=1, space=real_line_space())
+    slack = lab.TRIAL_TOL_REL * 4.0
+    triples = (np.array([1.0 - shortfall * slack]), np.array([2.0]), np.array([4.0]))
+    with mock.patch.object(lab, "_sample_triples", lambda config, g, fn: triples):
+        total = check_sum_lemma(h_cert, g_cert, square, cfg)
+    assert total.failures == failures
+    assert total.c_estimate == (0.5 if failures == 0 else 0.0)
+    assert total.worst_defect == pytest.approx(-shortfall * slack, rel=1e-6)
 
 
 def test_sum_lemma_rejects_degenerate_inputs():

@@ -182,12 +182,11 @@ def test_minimizer_does_not_depend_on_the_start():
     e = Exponents(4.0, 4.0 / 3.0, 2, 1e-4)
     x, y = np.meshgrid(*g.node_coords(), indexing="ij")
     f = GridFunction(g, np.sin(np.pi * x) * np.sin(np.pi * y))
-    cfg0 = SolverConfig(tol_grad=1e-7)
+    cfg = SolverConfig(tol_grad=1e-7)
     rng = np.random.default_rng(7)
     warm = GridFunction(g, 0.1 * rng.standard_normal(g.shape))
-    cfg1 = SolverConfig(tol_grad=1e-7, init=warm)
-    a = solve_inner(f, mu, e, cfg0)
-    b = solve_inner(f, mu, e, cfg1)
+    a = solve_inner(f, mu, e, cfg)
+    b = solve_inner(f, mu, e, cfg, init=warm)
     assert a.converged and b.converged
     assert sobolev_norm(a.u_star - b.u_star, e.p) <= 1e-5
 
@@ -237,9 +236,9 @@ def test_solver_config_validation():
 def test_init_must_live_on_the_same_grid():
     g = Grid(1, 7)
     mu = WeightField.constant(g, 1.0)
-    bad = SolverConfig(init=GridFunction.zeros(Grid(1, 9)))
+    bad = GridFunction.zeros(Grid(1, 9))
     with pytest.raises(ValueError, match="grid"):
-        solve_inner(GridFunction.zeros(g), mu, QUAD_1D, bad)
+        solve_inner(GridFunction.zeros(g), mu, QUAD_1D, init=bad)
 
 
 def test_cg_truncates_at_null_curvature_with_its_current_iterate():
@@ -672,13 +671,13 @@ def test_solve_inner_rejects_non_finite_forcing_or_start(where, bad):
     f = GridFunction.from_callable(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     vals = np.zeros(g.shape)
     vals[2, 2] = bad
-    cfg = SolverConfig(max_iters=5)
+    init = None
     if where == "forcing":
         f = GridFunction(g, f.values + vals)
     else:
-        cfg = SolverConfig(max_iters=5, init=GridFunction(g, vals))
+        init = GridFunction(g, vals)
     with pytest.raises(ValueError, match=f"{where} values must be finite"):
-        solve_inner(f, mu, e, cfg)
+        solve_inner(f, mu, e, SolverConfig(max_iters=5), init=init)
 
 
 def test_a_nan_residual_is_not_certified_as_zero():
@@ -695,7 +694,7 @@ def test_a_nan_residual_is_not_certified_as_zero():
     with np.errstate(over="ignore", invalid="ignore"):
         assert _loop_certificate(start, f, mu, e) == 0.0
         assert np.isnan(_certificate(start, f, mu, e))
-        rep = solve_inner(f, mu, e, SolverConfig(max_iters=5, init=start))
+        rep = solve_inner(f, mu, e, SolverConfig(max_iters=5), init=start)
     assert not rep.converged
     assert np.isnan(rep.final_grad_norm)
     assert np.isnan(rep.weak_check)
