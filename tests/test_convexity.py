@@ -41,6 +41,80 @@ def stacked_energy(mu, e):
     return J
 
 
+def run_one_trial(F, x, y, theta, gamma, c):
+    """check_sum_lemma's verdict on the single real-line trial (x, y, theta).
+
+    h's certificate carries the modulus c at gamma; g's only has to pass
+    below gamma.  worst_defect is the trial's defect, failures its verdict.
+    """
+    xs = np.array([x], dtype=float)
+    ys = np.array([y], dtype=float)
+    parts = lab._trial_parts(F, xs, ys, np.array([theta]), gamma, np.abs(xs - ys))
+    h_cert = ConvexityCertificate(1, 0, c, 0, gamma, 0.0)
+    g_cert = ConvexityCertificate(1, 0, 1.0, 0, 1.0, 0.0)
+    cfg = SamplerConfig(seed=0, trials=1, space=real_line_space())
+    with mock.patch.object(lab, "_sample_triples", lambda config, g, fn: parts):
+        return check_sum_lemma(h_cert, g_cert, F, cfg)
+
+
+def test_run_trial_boundary_case_passes_exactly():
+    # x**2 is 2-hyperconvex with modulus exactly 1/2; theta = 1/2 attains it.
+    t = run_one_trial(square, 0.0, 2.0, theta=0.5, gamma=2.0, c=0.5)
+    assert t.worst_defect == 0.0
+    assert t.passed
+
+
+def test_run_trial_coincident_points_pass():
+    # x == y zeroes the penalty, so only round-off in the gap remains.
+    t = run_one_trial(square, 1.5, 1.5, theta=0.3, gamma=2.0, c=100.0)
+    assert abs(t.worst_defect) <= lab.TRIAL_TOL_REL * 3 * 1.5**2
+    assert t.passed
+
+
+def test_run_trial_small_theta_probe():
+    t = run_one_trial(square, -1.0, 3.0, theta=0.01, gamma=2.0, c=0.5)
+    assert t.worst_defect > 0.0
+    assert t.passed
+
+
+def test_run_trial_linear_function_fails():
+    t = run_one_trial(lambda x: 3.0 * x + 1.0, 0.0, 1.0, theta=0.25, gamma=2.0, c=1.0)
+    assert not t.passed
+    assert t.worst_defect < 0.0
+
+
+def test_run_trial_requires_positive_modulus():
+    with pytest.raises(ValueError, match="must pass"):
+        run_one_trial(square, 0.0, 1.0, theta=0.5, gamma=2.0, c=0.0)
+    with pytest.raises(ValueError, match="must pass"):
+        run_one_trial(square, 0.0, 1.0, theta=0.5, gamma=2.0, c=-1.0)
+
+
+def test_run_trial_rejects_sublinear_gamma():
+    cfg = SamplerConfig(seed=0, trials=1, space=real_line_space())
+    with pytest.raises(ValueError, match="gamma"):
+        estimate_modulus(square, 0.5, cfg)
+
+
+@given(
+    st.floats(0.01, 0.99),
+    st.floats(-5.0, 5.0),
+    st.floats(-5.0, 5.0),
+)
+def test_run_trial_weight_swap_symmetry(theta, x, y):
+    a = run_one_trial(square, x, y, theta, 2.0, 0.25)
+    b = run_one_trial(square, y, x, 1.0 - theta, 2.0, 0.25)
+    assert a.worst_defect == pytest.approx(b.worst_defect, rel=1e-9, abs=1e-12)
+
+
+@given(st.floats(0.05, 0.5), st.floats(0.6, 2.0))
+def test_run_trial_defect_decreases_with_modulus(c1, c2):
+    a = run_one_trial(square, -1.0, 2.0, 0.3, 2.0, c1)
+    b = run_one_trial(square, -1.0, 2.0, 0.3, 2.0, c2)
+    basis = min(0.3, 0.7) * abs(-1.0 - 2.0) ** 2.0
+    assert b.worst_defect == pytest.approx(a.worst_defect - (c2 - c1) * basis, rel=1e-12)
+
+
 def test_estimate_modulus_is_deterministic():
     cfg = SamplerConfig(seed=42, trials=200, space=real_line_space())
     a = estimate_modulus(square, 2.0, cfg)
