@@ -91,11 +91,11 @@ def _section(name: str):
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"{path}: {err}") from None
     values: dict[str, str] = {}
@@ -141,7 +141,8 @@ def parse_config(
         if keys[f"{section}.kind"] == "csv":
             if not keys[path_key]:
                 raise ConfigError(f"{path_key}: required when {section}.kind = csv")
-            if not os.path.isfile(keys[path_key]):
+            # Not opened here: a pipe would be consumed before the run reads it.
+            if not os.path.exists(keys[path_key]) or os.path.isdir(keys[path_key]):
                 raise ConfigError(f"{path_key}: file not found: {keys[path_key]}")
 
     with _section("grid"):

@@ -202,14 +202,15 @@ class ControlReport:
 class SolutionOperator:
     """psi(f) that replays its last solve when asked for the same forcing bytes.
 
-    A solve runs to tol, by default inner.tol_grad; the slot is replayed
-    only when its tolerance is at most the one asked for.  One slot is all
-    the outer loop reuses: it only ever asks again for the trial it has just
-    accepted.  solves counts the solves it ran and matvecs their Newton
-    products, failed ones included; adjoint_matvecs the products of the
-    linearized solves at its states (_hessian_solve with psi = self).
-    linearization keeps the stencil record of the last state it was asked
-    about.
+    It owns the state problem: the gradients solve with its mu, exponents
+    and inner config alone.  A solve runs to tol, by default inner.tol_grad;
+    the slot is replayed only when its tolerance is at most the one asked
+    for.  One slot is all the outer loop reuses: it only ever asks again for
+    the trial it has just accepted.  solves counts the solves it ran and
+    matvecs their Newton products, failed ones included; adjoint_matvecs the
+    products of the linearized solves at its states (_hessian_solve with
+    psi = self).  linearization keeps the stencil record of the last state
+    it was asked about.
     """
 
     def __init__(self, mu: WeightField, e: Exponents, inner: SolverConfig):
@@ -257,17 +258,16 @@ def _hessian_solve(
     lin: _Linearization,
     rhs: GridFunction,
     cfg: ControlConfig,
-    psi: SolutionOperator | None = None,
+    psi: SolutionOperator,
     tol: float | None = None,
 ) -> GridFunction:
     """Solve H w = rhs over the record lin by Jacobi-preconditioned CG.
 
     Runs to the relative residual tol, by default cfg.cg_tol, and raises
     CGBreakdownError unless it gets there within _CG_PRODUCTS_PER_NODE
-    products per node.  The Hessian products are added to
-    psi.adjoint_matvecs when psi is given.  A singular record raises
-    SingularLinearizationError before any product unless rhs is all zero,
-    whose solution is zero.
+    products per node, which it adds to psi.adjoint_matvecs.  A singular
+    record raises SingularLinearizationError before any product unless rhs
+    is all zero, whose solution is zero.
     """
     grid = rhs.grid
     tol = cfg.cg_tol if tol is None else tol
@@ -278,8 +278,7 @@ def _hessian_solve(
     solution, reason, products = _cg(
         partial(_hessian_product, lin), b, tol, cg_max, inv_diag=lin.inv_diag
     )
-    if psi is not None:
-        psi.adjoint_matvecs += products
+    psi.adjoint_matvecs += products
     if reason == "curvature":
         raise CGBreakdownError(
             "non-positive curvature in the hessian system; "
@@ -292,43 +291,17 @@ def _hessian_solve(
     return GridFunction(grid, solution)
 
 
-def _operator(
-    mu: WeightField, e: Exponents, cfg: ControlConfig, cache: SolutionOperator | None
-) -> SolutionOperator:
-    """cache, or a new operator if it is None; ValueError if cache has another mu or e."""
-    if cache is None:
-        return SolutionOperator(mu, e, cfg.inner)
-    # Identity for the weight: == between WeightFields compares arrays.
-    if cache.mu is not mu:
-        raise ValueError("cache was built for another weight field than mu")
-    if cache.exponents != e:
-        raise ValueError(f"cache was built for exponents {cache.exponents}, not {e}")
-    return cache
-
-
 def gateaux_derivative(
-    f: GridFunction,
-    h: GridFunction,
-    mu: WeightField,
-    e: Exponents,
-    cfg: ControlConfig,
-    cache: SolutionOperator | None = None,
+    f: GridFunction, h: GridFunction, psi: SolutionOperator, cfg: ControlConfig
 ) -> GridFunction:
-    """Directional derivative of psi at f along h: solve H(psi(f)) w = h."""
-    psi = _operator(mu, e, cfg, cache)
+    """Directional derivative of psi at f along h: solve H(psi(f)) w = h to cfg.cg_tol."""
     return _hessian_solve(psi.linearization(psi(f)), h, cfg, psi)
 
 
 def reduced_gradient(
-    f: GridFunction,
-    obj: Objective,
-    mu: WeightField,
-    e: Exponents,
-    cfg: ControlConfig,
-    cache: SolutionOperator | None = None,
+    f: GridFunction, obj: Objective, psi: SolutionOperator, cfg: ControlConfig
 ) -> GridFunction:
-    """Adjoint gradient of f -> obj.evaluate(f, psi(f)): one hessian solve."""
-    psi = _operator(mu, e, cfg, cache)
+    """Adjoint gradient of f -> obj.evaluate(f, psi(f)): one hessian solve to cfg.cg_tol."""
     u = psi(f)
     lam = _hessian_solve(psi.linearization(u), obj.grad_u(f, u), cfg, psi)
     return obj.grad_f(f, u) + lam
@@ -401,7 +374,7 @@ def optimize_control(
     f = f0
     u = psi(f)
     j_val = obj.evaluate(f, u)
-    g = reduced_gradient(f, obj, mu, e, cfg, psi)
+    g = reduced_gradient(f, obj, psi, cfg)
     trace = [j_val]
     cell = grid.h**grid.n
     status = "max_outer"
@@ -444,7 +417,7 @@ def optimize_control(
 
         # The accepted trial was the last solve: psi replays u_trial, and its record
         # serves the next direction.
-        g = reduced_gradient(f_trial, obj, mu, e, cfg, psi)
+        g = reduced_gradient(f_trial, obj, psi, cfg)
         f, u, j_val = f_trial, u_trial, j_trial
         trace.append(j_val)
         outer += 1

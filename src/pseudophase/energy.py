@@ -203,10 +203,8 @@ class WeightField:
 
     @classmethod
     def constant(cls, grid: Grid, mu0: float, mu_max: float | None = None) -> WeightField:
-        if mu_max is None:
-            mu_max = mu0 if mu0 > 0.0 else 1.0
-        arrays = tuple(np.full(grid.edge_shape(a), float(mu0)) for a in range(grid.n))
-        return cls(grid, arrays, mu_max)
+        arrays = [np.full(grid.edge_shape(a), float(mu0)) for a in range(grid.n)]
+        return cls.from_edge_values(grid, arrays, mu_max)
 
     @classmethod
     def from_edge_values(

@@ -289,7 +289,7 @@ def test_criterion_08_adjoint_reduced_gradient():
     obj = tracking_objective(cache(f_hat), alpha=1e-6)
     rng = np.random.default_rng(11)
     f0 = GridFunction(g, 0.3 * rng.standard_normal(g.shape))
-    grad = reduced_gradient(f0, obj, mu, e, cfg, cache=cache)
+    grad = reduced_gradient(f0, obj, cache, cfg)
 
     def j(field):
         return obj.evaluate(field, cache(field))

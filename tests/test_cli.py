@@ -7,10 +7,12 @@ import io
 import json
 import math
 import os
+import pathlib
 import re
 import subprocess
 import sys
 import tempfile
+import threading
 import types
 
 import numpy as np
@@ -731,6 +733,61 @@ def test_csv_weight_requires_an_existing_file(tmp_path):
                 "weight.path": str(tmp_path / "nope.csv"),
             },
         )
+    # A directory is not an input file either.
+    with pytest.raises(ConfigError, match="not found"):
+        parse_config(
+            None,
+            {
+                "command": "solve",
+                "grid.n": 2,
+                "exponents.q": 4.0 / 3.0,
+                "weight.kind": "csv",
+                "weight.path": str(tmp_path),
+            },
+        )
+
+
+def _feed_pipe(path, text):
+    """Start a thread that writes text into the named pipe at path."""
+    writer = threading.Thread(target=lambda: pathlib.Path(path).write_text(text), daemon=True)
+    writer.start()
+    return writer
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_a_config_and_a_csv_weight_are_read_through_named_pipes(tmp_path):
+    g = Grid(1, 9)
+    x = g.node_coords()[0]
+    w_file = str(tmp_path / "weight.csv")
+    write_grid_function(GridFunction(g, 1.0 + x), w_file)
+    config = (
+        "command = solve\ngrid.n = 1\ngrid.m = 9\n"
+        "exponents.mode = relaxed\nexponents.q = 4/3\nexponents.p = 4\n"
+        "exponents.epsilon = 1e-4\nsolver.tol = 1e-7\nweight.kind = csv\n"
+    )
+    cfg_file = _write(tmp_path, "run.cfg", config + f"weight.path = {w_file}\n")
+    assert main(["--config", cfg_file, "--out", str(tmp_path / "from_files")]) == 0
+
+    cfg_pipe, w_pipe = str(tmp_path / "run.pipe"), str(tmp_path / "weight.pipe")
+    os.mkfifo(cfg_pipe)
+    os.mkfifo(w_pipe)
+    writers = [
+        _feed_pipe(cfg_pipe, config + f"weight.path = {w_pipe}\n"),
+        _feed_pipe(w_pipe, pathlib.Path(w_file).read_text()),
+    ]
+    try:
+        assert main(["--config", cfg_pipe, "--out", str(tmp_path / "from_pipes")]) == 0
+    finally:
+        for writer, pipe in zip(writers, (cfg_pipe, w_pipe)):
+            writer.join(timeout=5.0)
+            if writer.is_alive():
+                # Nothing read this pipe: open it once so its writer ends.
+                os.close(os.open(pipe, os.O_RDONLY | os.O_NONBLOCK))
+    names = sorted(os.listdir(tmp_path / "from_files"))
+    assert "report.txt" in names and sorted(os.listdir(tmp_path / "from_pipes")) == names
+    for name in names:
+        got = (tmp_path / "from_pipes" / name).read_bytes()
+        assert got == (tmp_path / "from_files" / name).read_bytes()
 
 
 def test_bad_preset_rejected():

@@ -596,6 +596,21 @@ def test_weight_field_bounds_enforced():
         WeightField(g, (np.zeros(5),), 1.0)
 
 
+def test_constant_weight_infers_its_bound_by_the_edge_value_rule():
+    for g in (Grid(1, 3), Grid(2, 4)):
+        for mu0, mu_max, bound in ((0.0, None, 1.0), (2.5, None, 2.5), (2.5, 4.0, 4.0)):
+            mu = WeightField.constant(g, mu0, mu_max)
+            assert mu.mu_max == bound
+            assert all(np.all(a == mu0) for a in mu.per_axis)
+        for mu0, message in (
+            (-1.0, "weight values must be >= 0"),
+            (float("nan"), "weight values must be finite"),
+            (float("inf"), "weight values must be finite"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                WeightField.constant(g, mu0)
+
+
 def test_weight_ramp_profile():
     g = Grid(1, 3)
     mu = WeightField.ramp(g, 2.0)
