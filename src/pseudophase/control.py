@@ -14,7 +14,9 @@ objective j(f) = E(f, psi(f)) then has gradient
 the Hessian is self-adjoint in the quadrature pairing and the state
 equation couples to f through the load term alone, whose mixed second
 derivative is the identity in that pairing.  One CG solve per gradient,
-preconditioned by the Jacobi diagonal of the same linearization as Newton.
+over the same stencil record as Newton and with the preconditioner it
+holds: a sine-basis solve on 2-D grids with m >= 15 and a positive weight,
+the Jacobi diagonal otherwise.
 
 The outer loop is reduced Gauss-Newton-CG.  With S = H(psi(f))^-1 the
 linearized state map, the model Hessian is
@@ -261,7 +263,7 @@ def _hessian_solve(
     psi: SolutionOperator,
     tol: float | None = None,
 ) -> GridFunction:
-    """Solve H w = rhs over the record lin by Jacobi-preconditioned CG.
+    """Solve H w = rhs over the record lin by CG with the record's preconditioner.
 
     Runs to the relative residual tol, by default cfg.cg_tol, and raises
     CGBreakdownError unless it gets there within _CG_PRODUCTS_PER_NODE
@@ -276,7 +278,7 @@ def _hessian_solve(
     if b.any():
         _check_nonsingular(lin)
     solution, reason, products = _cg(
-        partial(_hessian_product, lin), b, tol, cg_max, inv_diag=lin.inv_diag
+        partial(_hessian_product, lin), b, tol, cg_max, precondition=lin.precondition
     )
     psi.adjoint_matvecs += products
     if reason == "curvature":

@@ -26,12 +26,21 @@ whose flux coefficient depends on the full Euclidean gradient magnitude
 rather than one axis derivative at a time.  The two only coincide for
 p = q = 2 or in one dimension; elsewhere the gap is structural, and
 exhibiting it is the point of keeping both.
+
+The Krylov solves of the solver and control modules run over one private
+stencil record per state (_Linearization) with the preconditioner it holds
+(_preconditioner): a diagonally scaled sine-basis solve of the Laplacian
+on a 2-D grid with m >= _SINE_MIN_M whose weight is positive on every
+edge, where that operator approximates the Hessian well, and the Jacobi
+inverse of the diagonal on every other record.  hessian_apply builds its
+record without one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -469,23 +478,30 @@ class _Linearization:
     in 2-D, else 1), 0.0 where that pair crosses a row end, and tmp is a
     view of the one scratch buffer.  singular is set when eps_reg = 0 and a
     coefficient vanishes; _check_nonsingular reads it.  diag is
-    hessian_apply(u, e_k)[k] by construction, and inv_diag, the Jacobi
-    preconditioner of every CG over the record, is 1.0 / diag, or None
-    unless every entry of diag is a normal positive float: an entry vanishes
-    only at eps_reg = 0, where every coefficient around a node does.
+    hessian_apply(u, e_k)[k] by construction.  precondition(r, out) writes
+    the preconditioned residual of every CG over the record into out
+    (_preconditioner chooses it), or is None for the identity.
     """
 
     coeffs: tuple[np.ndarray, ...]
     diag: np.ndarray
-    inv_diag: np.ndarray | None
     legs: tuple[tuple[np.ndarray, int, np.ndarray], ...]
     singular: bool
+    precondition: Callable[[np.ndarray, np.ndarray], object] | None
 
 
 def _linearization(
-    diffs: list[np.ndarray], mu_axes: tuple[np.ndarray, ...], e: Exponents, h: float
+    diffs: list[np.ndarray],
+    mu_axes: tuple[np.ndarray, ...],
+    e: Exponents,
+    h: float,
+    preconditioned: bool = True,
 ) -> _Linearization:
-    """The stencil record at a state, built once from its edge differences."""
+    """The stencil record at a state, built once from its edge differences.
+
+    Without preconditioned the record holds no preconditioner (None): a
+    record made for products alone does not pay for one.
+    """
     coeffs = tuple(_hessian_coeff(g, mu_axes[axis], e) for axis, g in enumerate(diffs))
     inv_h2 = 1.0 / (h * h)
     scaled = coeffs[0] * inv_h2
@@ -501,11 +517,100 @@ def _linearization(
         legs.append((off[:-1], 1))
     scratch = np.empty(diag.size - 1)
     legs = tuple((off, s, scratch[: off.size]) for off, s in legs)
+    singular = e.eps_reg == 0.0 and any(np.any(c == 0.0) for c in coeffs)
+    precondition = _preconditioner(diag, mu_axes) if preconditioned else None
+    return _Linearization(coeffs, diag, legs, singular, precondition)
+
+
+#: 2-D records with at least this many nodes per axis and a positive weight
+#: on every edge take the sine-basis preconditioner.  Below it, Jacobi CG
+#: needs few enough products that the dense transforms do not pay.
+_SINE_MIN_M = 15
+
+#: A matmul by the sine basis runs over row blocks of at most this many
+#: multiply-adds, OpenBLAS's threshold for a one-thread GEMM, so its bits do
+#: not depend on the BLAS thread count (for m <= 512, where a row fits).
+_GEMM_BLOCK = 2**18
+
+
+def _preconditioner(
+    diag: np.ndarray, mu_axes: tuple[np.ndarray, ...]
+) -> Callable[[np.ndarray, np.ndarray], object] | None:
+    """The preconditioner of CG over a stencil with diagonal diag and weight mu_axes.
+
+    None (the identity) unless every entry of diag is a normal positive
+    float: an entry vanishes only at eps_reg = 0, where every coefficient
+    around a node does.  A 2-D grid with m >= _SINE_MIN_M whose weight is
+    positive on every edge takes the diagonally scaled sine-basis solve
+    (_sine_solve); every other record takes the Jacobi inverse 1.0 / diag.
+
+    A positive weight makes the Hessian a smooth variable-coefficient
+    5-point operator, which D^(1/2) L D^(1/2) / 4 approximates well, L being
+    the constant-coefficient Laplacian that the sine basis inverts exactly
+    (Concus and Golub, SIAM J. Numer. Anal. 10, 1973).  Where the weight
+    vanishes the coefficients jump by orders of magnitude across the
+    interface, the products only halve, and each application costs 2-8 of
+    them at m = 63-255, so those records keep Jacobi.
+    """
     normal = np.finfo(float)
     # A nan minimum or maximum fails its test too.
-    inv_diag = 1.0 / diag if diag.min() >= normal.tiny and diag.max() <= normal.max else None
-    singular = e.eps_reg == 0.0 and any(np.any(c == 0.0) for c in coeffs)
-    return _Linearization(coeffs, diag, inv_diag, legs, singular)
+    if not (diag.min() >= normal.tiny and diag.max() <= normal.max):
+        return None
+    inv_diag = 1.0 / diag.ravel()
+    m = len(diag)
+    if diag.ndim == 2 and m >= _SINE_MIN_M and all(a.min() > 0.0 for a in mu_axes):
+        return partial(_sine_solve, np.sqrt(inv_diag), *_sine_basis(m))
+    return partial(_jacobi, inv_diag)
+
+
+def _jacobi(inv_diag: np.ndarray, r: np.ndarray, out: np.ndarray) -> None:
+    """out = r * inv_diag: the Jacobi preconditioner."""
+    np.multiply(r, inv_diag, out=out)
+
+
+@lru_cache(maxsize=4)
+def _sine_basis(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, W) of size m: the orthonormal DST-I matrix and 4 / (lam_j + lam_k).
+
+    Q[j, k] = sqrt(2 / (m + 1)) sin(pi (j + 1)(k + 1) / (m + 1)) is
+    symmetric with Q Q = I, and lam_j = 4 sin^2(pi (j + 1) / (2 (m + 1)))
+    are the eigenvalues of the 3-point Laplacian tridiag(-1, 2, -1), so W
+    holds the inverse eigenvalues of the 5-point Laplacian over its
+    diagonal 4.  Both are read-only.
+    """
+    k = np.arange(1, m + 1, dtype=float)
+    q = math.sqrt(2.0 / (m + 1)) * np.sin(np.outer(k, k) * (math.pi / (m + 1)))
+    lam = 4.0 * np.sin(k * (math.pi / (2 * (m + 1)))) ** 2
+    w = 4.0 / (lam[:, None] + lam[None, :])
+    q.setflags(write=False)
+    w.setflags(write=False)
+    return q, w
+
+
+def _times_q(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """a @ q as matmuls over row blocks of at most _GEMM_BLOCK multiply-adds."""
+    out = np.empty(a.shape)
+    rows = max(1, _GEMM_BLOCK // q.size)
+    for i in range(0, len(a), rows):
+        np.matmul(a[i : i + rows], q, out=out[i : i + rows])
+    return out
+
+
+def _sine_solve(
+    s: np.ndarray, q: np.ndarray, w: np.ndarray, r: np.ndarray, out: np.ndarray
+) -> None:
+    """out = s * (Q (W * (Q (s * r) Q)) Q) over the m x m nodes, r and out flat.
+
+    With s = sqrt(1 / diag) this is diag^(-1/2) (L / 4)^(-1) diag^(-1/2),
+    symmetric positive definite, and exactly the inverse of the Hessian
+    when its coefficients are one constant.  Q x^T Q is (Q x Q)^T and W is
+    symmetric, so two transposed passes need no copy back.
+    """
+    m = len(q)
+    x = np.multiply(s, r).reshape(m, m)
+    y = _times_q(_times_q(x, q).T, q)  # (Q x Q)^T
+    y *= w
+    np.multiply(s, _times_q(_times_q(y, q).T, q).ravel(), out=out)
 
 
 def _check_nonsingular(lin: _Linearization) -> None:
@@ -555,7 +660,7 @@ def hessian_apply(
     _check_problem(u, mu, e)
     _check_same_grid(u.grid, w)
     h = u.grid.h
-    lin = _linearization(_diffs(u.values, h), mu.per_axis, e, h)
+    lin = _linearization(_diffs(u.values, h), mu.per_axis, e, h, preconditioned=False)
     _check_nonsingular(lin)
     return GridFunction(u.grid, _hessian_product(lin, w.values))
 

@@ -4,8 +4,13 @@ Each step solves the Newton system H(u) d = g approximately, where H is
 the Hessian of the power terms and g the nodal energy gradient, and then
 takes the Armijo step u - t*d by backtracking from t = 1.  The system is
 solved by truncated conjugate gradients (Steihaug), preconditioned by the
-Jacobi diagonal of H, from d = 0 to the relative residual of an
-Eisenstat-Walker forcing term; the residual is measured unpreconditioned.
+preconditioner the stencil record holds, from d = 0 to the relative
+residual of an Eisenstat-Walker forcing term; the residual is measured
+unpreconditioned.  On a 2-D grid with m >= 15 whose weight is positive on
+every edge, H is a smooth variable-coefficient 5-point operator, and the
+record holds a diagonally scaled sine-basis solve of the Laplacian, a fast
+direct solve that cuts the products about tenfold on such problems; every
+other record holds the Jacobi diagonal of H (see energy._preconditioner).
 CG truncates when it runs out of iterations or meets a direction whose
 curvature is non-positive or numerically null (at most a 1e-12 fraction of
 the Gershgorin bound of H); it then returns its current iterate, or g
@@ -13,16 +18,18 @@ itself, the steepest-descent direction, when the first direction already
 failed.  At eps_reg = 0, where H can be singular (the coefficients vanish
 on edges with a zero difference where mu = 0), the method thus degrades to
 gradient descent instead of failing; where a diagonal entry of H vanishes
-the stencil record holds no Jacobi inverse, and CG runs with the identity
-preconditioner, which rounds as none.  report.cg_curvature_stops counts
-the Newton steps whose CG ended on that curvature test.
+the stencil record holds no preconditioner, and CG runs with the
+identity, which rounds as none.  report.cg_curvature_stops counts the
+Newton steps whose CG ended on that curvature test.
 
 CG iterates on flat vectors, and every reduction of the Krylov loops here
 and in the control module is one BLAS dot: CG's own by ndarray.dot, the
 gradient norms, the slopes and f.d by _dot.  A run repeats its bits on
 one machine, but the dot's rounding follows the ddot kernel OpenBLAS
 picks for the CPU and its thread count, so another machine may differ in
-the last bits.
+the last bits.  The sine-basis preconditioner multiplies by its basis in
+row blocks small enough for a one-thread GEMM, so it adds no dependence on
+the thread count.
 
 Convergence is declared on the max-norm of the energy gradient, whose
 component at node k is the weak residual against the indicator of node k
@@ -97,21 +104,21 @@ def _cg(
     tol: float,
     max_iters: int,
     curvature_floor: float = 0.0,
-    inv_diag: np.ndarray | None = None,
+    precondition: Callable[[np.ndarray, np.ndarray], object] | None = None,
 ) -> tuple[np.ndarray, str, int]:
     """Conjugate gradients for A x = b from x = 0; returns (x, reason, products).
 
-    inv_diag is the inverse of a positive diagonal preconditioner; None
-    stands for the identity, which rounds as none, since products by 1.0
-    are exact.  reason is "converged" once the unpreconditioned residual
-    has |r| <= tol * |b|, "curvature" when a search direction p has
-    p.Ap <= curvature_floor * p.p, and "max_iters" when the iterations run
-    out.  On "curvature" x is the iterate before that direction, or b
-    itself when the first direction already failed.  products counts the
-    calls of apply_A.
+    precondition(r, out) writes M r into out for a symmetric positive
+    definite M; None stands for the identity, which rounds as none.  reason
+    is "converged" once the unpreconditioned residual has |r| <= tol * |b|,
+    "curvature" when a search direction p has p.Ap <= curvature_floor * p.p,
+    and "max_iters" when the iterations run out.  On "curvature" x is the
+    iterate before that direction, or b itself when the first direction
+    already failed.  products counts the calls of apply_A.
 
     The iteration runs on flat vectors with BLAS dots; apply_A gets a view
-    of the direction in b's shape, which it must not keep.
+    of the direction in b's shape, which it must not keep, and precondition
+    gets the flat residual.
     """
     shape = b.shape
     r = b.ravel().astype(float)
@@ -119,8 +126,10 @@ def _cg(
     b_norm = math.sqrt(r.dot(r))
     if b_norm == 0.0:
         return x.reshape(shape), "converged", 0
-    inv_diag = np.ones(r.size) if inv_diag is None else inv_diag.ravel()
-    z = r * inv_diag
+    if precondition is None:
+        precondition = _identity
+    z = np.empty_like(r)
+    precondition(r, z)
     p = z.copy()
     p_view = p.reshape(shape)
     tmp = np.empty_like(r)
@@ -140,13 +149,18 @@ def _cg(
         rr = float(r.dot(r))
         if math.sqrt(rr) <= tol * b_norm:
             return x.reshape(shape), "converged", k + 1
-        np.multiply(r, inv_diag, out=z)
+        precondition(r, z)
         rz_new = float(r.dot(z))
         # p*beta + z rounds as z + beta*p.
         p *= rz_new / rz
         p += z
         rz = rz_new
     return x.reshape(shape), "max_iters", max_iters
+
+
+def _identity(r: np.ndarray, out: np.ndarray) -> None:
+    """out = r: CG's preconditioner when it is given none."""
+    np.copyto(out, r)
 
 
 def _forcing_term(eta: float, g_norm: float, prev_norm: float, tol_grad: float) -> float:
@@ -288,7 +302,7 @@ def solve_inner(
         lin = _linearization(diffs, mu_axes, e, h)
         floor = _CURVATURE_FLOOR * gershgorin * max(float(np.max(c)) for c in lin.coeffs)
         d, reason, products = _cg(
-            partial(_hessian_product, lin), g, eta, vals.size, floor, lin.inv_diag
+            partial(_hessian_product, lin), g, eta, vals.size, floor, lin.precondition
         )
         matvecs += products
         curvature_stops += reason == "curvature"

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import math
@@ -48,6 +49,9 @@ from pseudophase.cli import (
     main,
     parse_config,
 )
+
+# The package exports the function `energy`, which shadows its module.
+energy_module = importlib.import_module("pseudophase.energy")
 
 
 def _write(tmp_path, name, text):
@@ -1088,6 +1092,37 @@ def test_an_op_imports_nothing_and_only_convexity_loads_numpy_random(tmp_path, c
     if command in ("solve", "control"):
         assert added == []
     assert numpy_random == (command == "convexity")
+
+
+def test_a_sine_preconditioned_solve_repeats_its_bytes_at_one_and_two_blas_threads(tmp_path):
+    # Below 10 000 nodes a BLAS ddot runs on one thread, and the sine basis
+    # multiplies in row blocks under OpenBLAS's GEMM threading threshold.
+    cfg = _write(
+        tmp_path,
+        "run.cfg",
+        "command = solve\ngrid.n = 2\ngrid.m = 99\nexponents.mode = relaxed\n"
+        "exponents.p = 3\nexponents.q = 2\nexponents.epsilon = 1e-4\n"
+        "weight.kind = constant\nweight.mu0 = 0.5\nforcing.kind = preset\n"
+        "forcing.preset = sine\nsolver.tol = 1e-6\n",
+    )
+    g = Grid(2, 99)
+    chosen = energy_module._preconditioner(np.ones(g.shape), WeightField.constant(g, 0.5).per_axis)
+    assert chosen.func is energy_module._sine_solve
+    src = os.path.dirname(os.path.dirname(pseudophase.__file__))
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run(
+            [sys.executable, "-m", "pseudophase.cli", "solve", "--config", cfg, "--out", str(out)],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        artifacts.append([(out / name).read_bytes() for name in ("u.csv", "report.txt")])
+    assert b"status = converged" in artifacts[0][1]
+    assert artifacts[1] == artifacts[0]
 
 
 #: pseudophase.__all__, in order: the package's public surface.

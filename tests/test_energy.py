@@ -1,10 +1,16 @@
 """Energy, flux operators, weak residual, and linearization tests."""
 
+import importlib
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import pseudophase
 from pseudophase import (
     EnergyBreakdown,
     Exponents,
@@ -23,12 +29,17 @@ from pseudophase import (
     weak_residual,
 )
 from pseudophase.energy import (
+    _SINE_MIN_M,
     _check_nonsingular,
     _hessian_product,
     _linearization,
     _raw_energy_decrease,
+    _sine_solve,
 )
 from pseudophase.grid import _diff, _diffs, _neg_div_sum
+
+# The package exports the function `energy`, which shadows its module.
+energy_module = importlib.import_module("pseudophase.energy")
 
 QUAD = Exponents(p=2.0, q=2.0, n=1, eps_reg=0.0)
 TWO_PHASE_2D = Exponents(p=4.0, q=4.0 / 3.0, n=2, eps_reg=1e-6)
@@ -465,8 +476,11 @@ def test_jacobi_diagonal_equals_hessian_apply_on_the_indicators(n, m, pq, eps_re
     u = GridFunction(g, vals)
     lin = _linearization(_diffs(u.values, g.h), mu.per_axis, e, g.h)
     assert np.array_equal(lin.diag, _indicator_diagonal(u, mu, e))
+    # Below the sine path's m every record with a Jacobi inverse takes Jacobi.
     inverse = 1.0 / lin.diag
-    assert lin.inv_diag.shape == inverse.shape and lin.inv_diag.tobytes() == inverse.tobytes()
+    out = np.empty(inverse.size)
+    lin.precondition(np.ones(inverse.size), out)
+    assert out.tobytes() == inverse.tobytes()
 
 
 @pytest.mark.parametrize("weight", ["zero", "ramp"])
@@ -478,7 +492,100 @@ def test_jacobi_diagonal_is_none_where_a_node_loses_every_coefficient(weight):
     mu = WeightField.constant(g, 0.0) if weight == "zero" else WeightField.ramp(g, 2.0)
     with np.errstate(all="raise"):
         lin = _linearization(_diffs(np.zeros(g.shape), g.h), mu.per_axis, e, g.h)
-        assert lin.inv_diag is None
+        assert lin.precondition is None
+
+
+def test_hessian_apply_builds_no_preconditioner(monkeypatch):
+    # The dense oracles loop hessian_apply over every nodal indicator; the
+    # records that CG runs over build one preconditioner each.
+    g = Grid(2, _SINE_MIN_M)
+    u, _ = _random_problem(g, 41)
+    mu = WeightField.constant(g, 0.5)
+    real = energy_module._preconditioner
+    built = []
+    monkeypatch.setattr(
+        energy_module, "_preconditioner", lambda *args: built.append(1) or real(*args)
+    )
+    w = GridFunction(g, np.random.default_rng(42).standard_normal(g.shape))
+    hw = hessian_apply(u, w, mu, TWO_PHASE_2D)
+    assert not built
+    lin = _linearization(_diffs(u.values, g.h), mu.per_axis, TWO_PHASE_2D, g.h)
+    assert built == [1] and lin.precondition.func is _sine_solve
+    assert _same_bits(hw.values, _hessian_product(lin, w.values))
+
+
+def _positive_weight(grid):
+    """A smooth weight bounded below by 0.5 on every edge."""
+    x, y = np.meshgrid(*grid.node_coords(), indexing="ij")
+    nodal = 0.5 + 0.5 * x * y + 0.25 * np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 2
+    return WeightField.from_nodal(grid, GridFunction(grid, nodal))
+
+
+def test_sine_preconditioner_inverts_a_constant_coefficient_hessian():
+    # At p = q = 2 every coefficient is 1 + mu: the scaled sine solve is H^-1.
+    g = Grid(2, 31)
+    e = Exponents(2.0, 2.0, 2, 0.0)
+    u, _ = _random_problem(g, 43)
+    lin = _linearization(_diffs(u.values, g.h), WeightField.constant(g, 0.7).per_axis, e, g.h)
+    assert lin.precondition.func is _sine_solve
+    rng = np.random.default_rng(44)
+    for _ in range(3):
+        w = rng.standard_normal(g.shape)
+        out = np.empty(w.size)
+        lin.precondition(_hessian_product(lin, w).ravel(), out)
+        assert np.max(np.abs(out - w.ravel())) <= 1e-12 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("m", [_SINE_MIN_M, 31, 100])
+def test_sine_preconditioner_is_symmetric_positive_definite(m):
+    g = Grid(2, m)
+    u, _ = _random_problem(g, 45)
+    lin = _linearization(_diffs(u.values, g.h), _positive_weight(g).per_axis, TWO_PHASE_2D, g.h)
+    assert lin.precondition.func is _sine_solve
+    rng = np.random.default_rng(m)
+    mr, mw = np.empty(g.n_nodes), np.empty(g.n_nodes)
+    for _ in range(5):
+        r, w = rng.standard_normal((2, g.n_nodes))
+        lin.precondition(r, mr)
+        lin.precondition(w, mw)
+        lhs, rhs = float(r @ mw), float(w @ mr)
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs))
+        assert float(r @ mr) > 0.0
+
+
+_SINE_BYTES = """
+import hashlib, sys
+import numpy as np
+from pseudophase import Grid, WeightField
+from pseudophase.energy import _preconditioner
+
+g = Grid(2, int(sys.argv[1]))
+rng = np.random.default_rng(46)
+diag = rng.uniform(1.0, 2.0, g.shape)
+precondition = _preconditioner(diag, WeightField.constant(g, 0.5).per_axis)
+out = np.empty(g.n_nodes)
+precondition(rng.standard_normal(g.n_nodes), out)
+print(precondition.func.__name__, hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("m", [127, 255])
+def test_sine_preconditioner_repeats_its_bits_at_one_and_two_blas_threads(m):
+    # One whole m x m GEMM rounds differently at 1 and 2 threads here.
+    src = os.path.dirname(os.path.dirname(pseudophase.__file__))
+    outputs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run(
+            [sys.executable, "-c", _SINE_BYTES, str(m)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.add(run.stdout)
+    assert len(outputs) == 1 and outputs.pop().startswith("_sine_solve ")
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,6 +32,11 @@ grid_module = importlib.import_module("pseudophase.grid")
 solver_module = importlib.import_module("pseudophase.solver")
 
 QUAD_1D = Exponents(2.0, 2.0, 1, 0.0)
+
+
+def _jacobi(inv_diag):
+    """The Jacobi preconditioner of the inverse diagonal inv_diag, as _cg takes it."""
+    return partial(energy_module._jacobi, inv_diag.ravel())
 
 
 def _nodal_x(grid):
@@ -315,10 +321,10 @@ def test_cg_without_a_preconditioner_repeats_the_frozen_iterates(
 ):
     A, b = _cg_case(kind, size, seed)
     expected, why = _frozen_cg(lambda v: A @ v, b, tol, max_iters, floor)
-    for inv_diag in (None, np.ones(size)):
+    for precondition in (None, _jacobi(np.ones(size))):
         calls = []
         x, reason, products = _cg(
-            lambda v: calls.append(1) or A @ v, b, tol, max_iters, floor, inv_diag
+            lambda v: calls.append(1) or A @ v, b, tol, max_iters, floor, precondition
         )
         assert reason == why
         assert np.array_equal(x, expected)
@@ -330,9 +336,11 @@ def test_cg_with_the_frozen_curvature_cases_and_a_unit_diagonal():
     b = np.array([1.0, 1.0])
     for floor in (0.0, 1e-12):
         expected = _frozen_cg(lambda v: A @ v, b, 1e-12, 10, floor)
-        got = _cg(lambda v: A @ v, b, 1e-12, 10, floor, np.ones(2))
+        got = _cg(lambda v: A @ v, b, 1e-12, 10, floor, _jacobi(np.ones(2)))
         assert got[1] == expected[1] and np.array_equal(got[0], expected[0])
-    x, reason, products = _cg(lambda v: -v, np.ones(4), 1e-10, 10, inv_diag=np.ones(4))
+    x, reason, products = _cg(
+        lambda v: -v, np.ones(4), 1e-10, 10, precondition=_jacobi(np.ones(4))
+    )
     assert reason == "curvature" and np.array_equal(x, np.ones(4)) and products == 1
 
 
@@ -383,7 +391,7 @@ def test_jacobi_cg_repeats_the_frozen_iterates(kind, size, seed, tol, max_iters,
     expected, why = _frozen_jacobi_cg(lambda v: A @ v, b, tol, max_iters, floor, inv_diag)
     calls = []
     x, reason, products = _cg(
-        lambda v: calls.append(1) or A @ v, b, tol, max_iters, floor, inv_diag
+        lambda v: calls.append(1) or A @ v, b, tol, max_iters, floor, _jacobi(inv_diag)
     )
     assert reason == why
     assert np.array_equal(x, expected)
@@ -443,8 +451,8 @@ def test_jacobi_cg_stops_on_the_unpreconditioned_residual():
     A = scale[:, None] * ((q * rng.uniform(1.0, 4.0, size)) @ q.T) * scale[None, :]
     b = rng.standard_normal(size)
     counts = {}
-    for name, inv_diag in (("plain", None), ("jacobi", 1.0 / np.diag(A))):
-        x, reason, counts[name] = _cg(lambda v: A @ v, b, 1e-8, 10 * size, 0.0, inv_diag)
+    for name, precondition in (("plain", None), ("jacobi", _jacobi(1.0 / np.diag(A)))):
+        x, reason, counts[name] = _cg(lambda v: A @ v, b, 1e-8, 10 * size, 0.0, precondition)
         assert reason == "converged"
         assert np.linalg.norm(b - A @ x) <= 2e-8 * np.linalg.norm(b)
     assert counts["jacobi"] < counts["plain"]
@@ -473,12 +481,76 @@ def test_jacobi_and_plain_newton_agree_to_the_tolerance(monkeypatch):
     jacobi = solve_inner(f, mu, e, cfg)
     real = solver_module._linearization
     monkeypatch.setattr(
-        solver_module, "_linearization", lambda *args: replace(real(*args), inv_diag=None)
+        solver_module, "_linearization", lambda *args: replace(real(*args), precondition=None)
     )
     plain = solve_inner(f, mu, e, cfg)
     assert jacobi.converged and plain.converged
     assert plain.matvecs > 10 * jacobi.matvecs
     assert np.max(np.abs(jacobi.u_star.values - plain.u_star.values)) <= 1e-10
+
+
+def _peaked_problem(m):
+    """2-D relaxed p = 4, q = 1.5 with a weight bounded below by 0.5 and a peaked forcing."""
+    g = Grid(2, m)
+    x, y = np.meshgrid(*g.node_coords(), indexing="ij")
+    nodal = 0.5 + 0.5 * x * y + 0.25 * np.sin(np.pi * x) ** 2 * np.sin(np.pi * y) ** 2
+    mu = WeightField.from_nodal(g, GridFunction(g, nodal))
+    e = Exponents(4.0, 1.5, 2, 1e-8)
+    f = GridFunction(g, 50.0 * np.exp(-40.0 * ((x - 0.3) ** 2 + (y - 0.6) ** 2)))
+    return f, mu, e
+
+
+def test_positive_weight_newton_converges_within_its_product_budget():
+    # Jacobi CG took 507 Newton steps and 779 products here; the sine-basis
+    # preconditioner takes 28 steps and 98 products.
+    f, mu, e = _peaked_problem(31)
+    rep = solve_inner(f, mu, e, SolverConfig(tol_grad=1e-6))
+    assert rep.converged
+    assert rep.matvecs <= 300
+
+
+def test_one_newton_cg_solves_a_constant_coefficient_system_in_two_products():
+    g = Grid(2, 31)
+    mu = WeightField.constant(g, 0.5)
+    f = GridFunction.from_callable(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
+    rep = solve_inner(f, mu, Exponents(2.0, 2.0, 2, 0.0), SolverConfig(max_iters=1))
+    assert rep.iterations == 1
+    assert rep.matvecs <= 2
+
+
+@pytest.mark.parametrize(
+    "n, m, weight, eps_reg",
+    [
+        (2, 31, "ramp", 1e-4),  # a weight that vanishes
+        (2, energy_module._SINE_MIN_M - 1, "constant", 1e-4),  # m below the sine path's
+        (1, 63, "constant", 1e-4),
+        (2, 31, "constant", 0.0),  # no Jacobi inverse
+    ],
+)
+def test_records_off_the_sine_path_repeat_the_frozen_jacobi_iterates(n, m, weight, eps_reg):
+    g = Grid(n, m)
+    mu = WeightField.ramp(g, 2.0) if weight == "ramp" else WeightField.constant(g, 0.5)
+    e = Exponents(4.0, 3.0, n, eps_reg)
+    rng = np.random.default_rng(7)
+    vals = rng.standard_normal(g.shape)
+    b = rng.standard_normal(g.shape)
+    if eps_reg == 0.0:
+        # With q > 2 the centre of a zero block loses every coefficient.
+        vals[10:13, 10:13] = 0.0
+    lin = energy_module._linearization(grid_module._diffs(vals, g.h), mu.per_axis, e, g.h)
+
+    def product(w):
+        return energy_module._hessian_product(lin, w)
+
+    if eps_reg == 0.0:
+        assert lin.precondition is None
+        expected, why = _frozen_cg(product, b, 1e-10, 60)
+    else:
+        assert lin.precondition.func is energy_module._jacobi
+        expected, why = _frozen_jacobi_cg(product, b, 1e-10, 60, 0.0, 1.0 / lin.diag)
+    x, reason, _ = _cg(product, b, 1e-10, 60, 0.0, lin.precondition)
+    assert reason == why
+    assert np.array_equal(x, expected)
 
 
 def test_the_report_counts_the_newton_steps_whose_cg_met_null_curvature(monkeypatch):
@@ -534,7 +606,7 @@ def test_jacobi_cg_holds_five_vectors_beyond_what_its_products_allocate():
     f, mu, e = _ramp_sine_problem(63)
     h = f.grid.h
     lin = energy_module._linearization(grid_module._diffs(0.01 * f.values, h), mu.per_axis, e, h)
-    inv_diag = lin.inv_diag
+    assert lin.precondition.func is energy_module._jacobi
     vector = 8 * f.values.size
 
     def traced_peak(fn):
@@ -550,7 +622,7 @@ def test_jacobi_cg_holds_five_vectors_beyond_what_its_products_allocate():
         return energy_module._hessian_product(lin, w)
 
     def solve():
-        return _cg(product, f.values, 1e-8, 40, 0.0, inv_diag)
+        return _cg(product, f.values, 1e-8, 40, 0.0, lin.precondition)
 
     assert solve()[1] == "max_iters"
     product_peak = traced_peak(lambda: product(f.values))
