@@ -252,7 +252,7 @@ class SolutionOperator:
         """The stencil record of the Hessian at the state u, built once per state object."""
         if self._lin is None or self._lin[0] is not u:
             h = u.grid.h
-            self._lin = (u, _linearization(_diffs(u.values, h), self.mu.per_axis, self.exponents, h))
+            self._lin = (u, _linearization(_diffs(u.values, h), self.mu.edges, self.exponents, h))
         return self._lin[1]
 
 

@@ -27,6 +27,13 @@ rather than one axis derivative at a time.  The two only coincide for
 p = q = 2 or in one dimension; elsewhere the gap is structural, and
 exhibiting it is the point of keeping both.
 
+The private kernels behind these work on the edges of all axes at once,
+in the (n, E) layout of the grid module (row i for axis i, E edges each):
+the differences from grid._diffs, the weight as WeightField.edges, and the
+fluxes, Hessian coefficients and energy changes elementwise over both.
+Each sum over edges still runs per axis and is added in axis order, so the
+values repeat a pass made one axis at a time bit for bit.
+
 The Krylov solves of the solver and control modules run over one private
 stencil record per state (_Linearization) with the preconditioner it holds
 (_preconditioner): a diagonally scaled sine-basis solve of the Laplacian
@@ -51,6 +58,7 @@ from .grid import (
     GridFunction,
     _diff,
     _diffs,
+    _edge_axes,
     _neg_div_sum,
     _row_sums,
     inner_product,
@@ -173,14 +181,17 @@ class WeightField:
     """Per-edge samples of the modulating weight mu with its declared bound.
 
     mu lives on the same staggered lattice as the edge gradients: one array
-    per axis.  The invariants are 0 <= mu <= mu_max everywhere and
-    mu_max > 0, so the q-phase can switch off locally ({mu = 0}) but the
-    declared bound stays meaningful.
+    per axis, given as per_axis.  The record keeps them in one read-only
+    (n, E) array, edges, in the layout of grid._diffs; per_axis holds views
+    of its rows in the edge shapes.  The invariants are 0 <= mu <= mu_max
+    everywhere and mu_max > 0, so the q-phase can switch off locally
+    ({mu = 0}) but the declared bound stays meaningful.
     """
 
     grid: Grid
     per_axis: tuple[np.ndarray, ...]
     mu_max: float
+    edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mu_max <= 0.0:
@@ -189,7 +200,7 @@ class WeightField:
             raise ValueError(
                 f"expected {self.grid.n} per-axis weight arrays, got {len(self.per_axis)}"
             )
-        frozen = []
+        edges = np.empty((self.grid.n, self.grid.m ** (self.grid.n - 1) * (self.grid.m + 1)))
         for axis, arr in enumerate(self.per_axis):
             arr = np.asarray(arr, dtype=float)
             if arr.shape != self.grid.edge_shape(axis):
@@ -205,10 +216,10 @@ class WeightField:
                 raise ValueError(
                     f"weight values exceed the declared bound mu_max={self.mu_max}"
                 )
-            arr = arr.copy()
-            arr.setflags(write=False)
-            frozen.append(arr)
-        object.__setattr__(self, "per_axis", tuple(frozen))
+            edges[axis] = arr.reshape(-1)
+        edges.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "per_axis", tuple(_edge_axes(edges)))
 
     @classmethod
     def constant(cls, grid: Grid, mu0: float, mu_max: float | None = None) -> WeightField:
@@ -336,17 +347,15 @@ def _energy_terms(
     return p_term, q_term
 
 
-def _flux(g: np.ndarray, mu_axis: np.ndarray, e: Exponents) -> np.ndarray:
-    """Edge flux pi(g)^(p-2) g + mu pi(g)^(q-2) g of one axis."""
+def _flux(g: np.ndarray, mu: np.ndarray, e: Exponents) -> np.ndarray:
+    """Edge flux pi(g)^(p-2) g + mu pi(g)^(q-2) g, elementwise on any edge layout."""
     s2 = g * g + e.eps_reg**2
-    return s2 ** ((e.p - 2.0) / 2.0) * g + mu_axis * s2 ** ((e.q - 2.0) / 2.0) * g
+    return s2 ** ((e.p - 2.0) / 2.0) * g + mu * s2 ** ((e.q - 2.0) / 2.0) * g
 
 
-def _pseudo_operator(
-    diffs: list[np.ndarray], mu_axes: tuple[np.ndarray, ...], e: Exponents, h: float
-) -> np.ndarray:
-    """apply_pseudo_operator from the edge differences of u (minus f: the gradient)."""
-    return _neg_div_sum([_flux(g, mu_axes[axis], e) for axis, g in enumerate(diffs)], h)
+def _pseudo_operator(diffs: np.ndarray, mu: np.ndarray, e: Exponents, h: float) -> np.ndarray:
+    """apply_pseudo_operator from the (n, E) edge differences of u and weight mu."""
+    return _neg_div_sum(_flux(diffs, mu, e), h)
 
 
 def apply_pseudo_operator(
@@ -359,7 +368,7 @@ def apply_pseudo_operator(
     """
     _check_problem(u, mu, e)
     h = u.grid.h
-    return GridFunction(u.grid, _pseudo_operator(_diffs(u.values, h), mu.per_axis, e, h))
+    return GridFunction(u.grid, _pseudo_operator(_diffs(u.values, h), mu.edges, e, h))
 
 
 def energy_gradient(
@@ -412,15 +421,12 @@ def apply_divergence_operator(
     """
     _check_problem(u, mu, e)
     grid = u.grid
-    eps2 = e.eps_reg**2
-    diffs = _diffs(u.values, grid.h)
-    fluxes = []
-    for axis, g in enumerate(diffs):
-        mag2 = g * g + _transverse_sq(diffs, axis) + eps2
-        fluxes.append(
-            mag2 ** ((e.p - 2.0) / 2.0) * g + mu.per_axis[axis] * mag2 ** ((e.q - 2.0) / 2.0) * g
-        )
-    return GridFunction(grid, _neg_div_sum(fluxes, grid.h))
+    g = _diffs(u.values, grid.h)
+    views = _edge_axes(g)
+    transverse = np.stack([_transverse_sq(views, axis).reshape(-1) for axis in range(grid.n)])
+    mag2 = g * g + transverse + e.eps_reg**2
+    flux = mag2 ** ((e.p - 2.0) / 2.0) * g + mu.edges * mag2 ** ((e.q - 2.0) / 2.0) * g
+    return GridFunction(grid, _neg_div_sum(flux, grid.h))
 
 
 def weak_residual(
@@ -440,16 +446,16 @@ def weak_residual(
     _check_same_grid(u.grid, f, phi)
     grid = u.grid
     cell = grid.h**grid.n
+    paired = _flux(_diffs(u.values, grid.h), mu.edges, e) * _diffs(phi.values, grid.h)
     total = 0.0
-    for axis, g in enumerate(_diffs(u.values, grid.h)):
-        dphi = _diff(phi.values, axis, grid.h)
-        total += float(np.sum(_flux(g, mu.per_axis[axis], e) * dphi)) * cell
+    for axis_sum in paired.sum(axis=1).tolist():
+        total += axis_sum * cell
     total -= float(np.sum(f.values * phi.values)) * cell
     return total
 
 
-def _hessian_coeff(g: np.ndarray, mu_axis: np.ndarray, e: Exponents) -> np.ndarray:
-    """Edge coefficient of the linearization: the derivative of _flux in g.
+def _hessian_coeff(g: np.ndarray, mu: np.ndarray, e: Exponents) -> np.ndarray:
+    """Edge coefficient of the linearization: the derivative of _flux in g, elementwise.
 
     With eps_reg = 0 it vanishes on every edge where g = 0 and the active
     powers exceed 2; _linearization then marks its record singular.
@@ -459,20 +465,20 @@ def _hessian_coeff(g: np.ndarray, mu_axis: np.ndarray, e: Exponents) -> np.ndarr
         # pi = |g| exactly; exponents are >= 2 here (smaller ones require
         # eps_reg > 0 at construction), so g2**((p-2)/2) is well defined.
         coeff = (e.p - 1.0) * g2 ** ((e.p - 2.0) / 2.0)
-        return coeff + mu_axis * (e.q - 1.0) * g2 ** ((e.q - 2.0) / 2.0)
+        return coeff + mu * (e.q - 1.0) * g2 ** ((e.q - 2.0) / 2.0)
     eps2 = e.eps_reg**2
     s2 = g2 + eps2
     coeff = s2 ** ((e.p - 4.0) / 2.0) * ((e.p - 1.0) * g2 + eps2)
-    return coeff + mu_axis * s2 ** ((e.q - 4.0) / 2.0) * ((e.q - 1.0) * g2 + eps2)
+    return coeff + mu * s2 ** ((e.q - 4.0) / 2.0) * ((e.q - 1.0) * g2 + eps2)
 
 
 @dataclass(frozen=True)
 class _Linearization:
     """The Hessian of the power terms at one state, as a 5-point stencil.
 
-    coeffs[i] holds the axis-i edge coefficients (_hessian_coeff).  Per
-    node, diag is the sum over axes of the two edge coefficients around it
-    over h^2; the boundary edges couple to the Dirichlet zeros and only
+    coeffs holds the edge coefficients (_hessian_coeff) in the (n, E)
+    layout of grid._diffs, row i for axis i.  Per node, diag is the sum over
+    axes of the two edge coefficients around it over h^2; the boundary edges couple to the Dirichlet zeros and only
     enter diag.  legs holds per axis (off, s, tmp) over the nodes in C
     order: off[k] couples node k to node k + s over h^2 (s = m for axis 0
     in 2-D, else 1), 0.0 where that pair crosses a row end, and tmp is a
@@ -483,7 +489,7 @@ class _Linearization:
     (_preconditioner chooses it), or is None for the identity.
     """
 
-    coeffs: tuple[np.ndarray, ...]
+    coeffs: np.ndarray
     diag: np.ndarray
     legs: tuple[tuple[np.ndarray, int, np.ndarray], ...]
     singular: bool
@@ -491,34 +497,35 @@ class _Linearization:
 
 
 def _linearization(
-    diffs: list[np.ndarray],
-    mu_axes: tuple[np.ndarray, ...],
+    diffs: np.ndarray,
+    mu: np.ndarray,
     e: Exponents,
     h: float,
     preconditioned: bool = True,
 ) -> _Linearization:
-    """The stencil record at a state, built once from its edge differences.
+    """The stencil record at a state, built once from its (n, E) edge differences.
 
-    Without preconditioned the record holds no preconditioner (None): a
-    record made for products alone does not pay for one.
+    mu is the weight in the same layout (WeightField.edges).  Without
+    preconditioned the record holds no preconditioner (None): a record made
+    for products alone does not pay for one.
     """
-    coeffs = tuple(_hessian_coeff(g, mu_axes[axis], e) for axis, g in enumerate(diffs))
-    inv_h2 = 1.0 / (h * h)
-    scaled = coeffs[0] * inv_h2
-    m = len(scaled) - 1
-    diag = scaled[:-1] + scaled[1:]
+    coeffs = _hessian_coeff(diffs, mu, e)
+    scaled = _edge_axes(coeffs * (1.0 / (h * h)))
+    axis0 = scaled[0]
+    m = len(axis0) - 1
+    diag = axis0[:-1] + axis0[1:]
     # Flat, the interior axis-0 edges already sit m nodes apart: a view.
-    legs = [(scaled[1:-1].ravel(), m ** (len(coeffs) - 1))]
-    if len(coeffs) == 2:
-        scaled = coeffs[1] * inv_h2
-        diag = diag + (scaled[:, :-1] + scaled[:, 1:])
-        off = scaled[:, 1:].ravel()
+    legs = [(axis0[1:-1].ravel(), m ** (len(scaled) - 1))]
+    if len(scaled) == 2:
+        axis1 = scaled[1]
+        diag += axis1[:, :-1] + axis1[:, 1:]
+        off = axis1[:, 1:].ravel()
         off[m - 1 :: m] = 0.0  # the right boundary edges: pairs across a row end
         legs.append((off[:-1], 1))
     scratch = np.empty(diag.size - 1)
     legs = tuple((off, s, scratch[: off.size]) for off, s in legs)
-    singular = e.eps_reg == 0.0 and any(np.any(c == 0.0) for c in coeffs)
-    precondition = _preconditioner(diag, mu_axes) if preconditioned else None
+    singular = e.eps_reg == 0.0 and not coeffs.all()
+    precondition = _preconditioner(diag, mu) if preconditioned else None
     return _Linearization(coeffs, diag, legs, singular, precondition)
 
 
@@ -532,11 +539,16 @@ _SINE_MIN_M = 15
 #: not depend on the BLAS thread count (for m <= 512, where a row fits).
 _GEMM_BLOCK = 2**18
 
+#: The smallest normal and the largest finite float: a diagonal outside
+#: them gets no preconditioner.
+_TINY = float(np.finfo(float).tiny)
+_HUGE = float(np.finfo(float).max)
+
 
 def _preconditioner(
-    diag: np.ndarray, mu_axes: tuple[np.ndarray, ...]
+    diag: np.ndarray, mu: np.ndarray
 ) -> Callable[[np.ndarray, np.ndarray], object] | None:
-    """The preconditioner of CG over a stencil with diagonal diag and weight mu_axes.
+    """The preconditioner of CG over a stencil with diagonal diag and edge weight mu.
 
     None (the identity) unless every entry of diag is a normal positive
     float: an entry vanishes only at eps_reg = 0, where every coefficient
@@ -552,13 +564,12 @@ def _preconditioner(
     interface, the products only halve, and each application costs 2-8 of
     them at m = 63-255, so those records keep Jacobi.
     """
-    normal = np.finfo(float)
     # A nan minimum or maximum fails its test too.
-    if not (diag.min() >= normal.tiny and diag.max() <= normal.max):
+    if not (diag.min() >= _TINY and diag.max() <= _HUGE):
         return None
     inv_diag = 1.0 / diag.ravel()
     m = len(diag)
-    if diag.ndim == 2 and m >= _SINE_MIN_M and all(a.min() > 0.0 for a in mu_axes):
+    if diag.ndim == 2 and m >= _SINE_MIN_M and mu.min() > 0.0:
         return partial(_sine_solve, np.sqrt(inv_diag), *_sine_basis(m))
     return partial(_jacobi, inv_diag)
 
@@ -660,22 +671,22 @@ def hessian_apply(
     _check_problem(u, mu, e)
     _check_same_grid(u.grid, w)
     h = u.grid.h
-    lin = _linearization(_diffs(u.values, h), mu.per_axis, e, h, preconditioned=False)
+    lin = _linearization(_diffs(u.values, h), mu.edges, e, h, preconditioned=False)
     _check_nonsingular(lin)
     return GridFunction(u.grid, _hessian_product(lin, w.values))
 
 
 def _raw_energy_decrease(
-    diffs: list[np.ndarray],
-    dir_diffs: list[np.ndarray],
+    diffs: np.ndarray,
+    dir_diffs: np.ndarray,
     f_dot_dir: float,
-    mu_axes: tuple[np.ndarray, ...],
+    mu: np.ndarray,
     p: float,
     q: float,
     eps2: float,
     cell: float,
-) -> Callable[[float], float]:
-    """t -> J(u - t*d) - J(u), evaluated to *relative* precision.
+) -> Callable[[Sequence[float]], list[float]]:
+    """ts -> [J(u - t*d) - J(u) for t in ts], evaluated to *relative* precision.
 
     Subtracting two full energies loses every digit once the step change
     drops below the round-off of J itself, which freezes line searches at
@@ -683,36 +694,47 @@ def _raw_energy_decrease(
     change as s2^(p/2) * expm1(p/2 * log1p(delta/s2)) with
     delta = gt^2 - g^2 = -t*d*(2g - t*d) keeps the result accurate at any
     magnitude, so an Armijo decrease can be certified arbitrarily close to
-    the minimizer.  f_dot_dir is cell * sum(f * d).  What does not depend on
-    t (s2, its two powers and, at eps2 = 0, the edges where s2 vanishes) is
-    computed once here, not once per trial step.
-    """
-    axes = []
-    for g, dg, mu in zip(diffs, dir_diffs, mu_axes):
-        s2 = g * g + eps2
-        zero = None
-        if eps2 == 0.0:
-            zero = s2 == 0.0
-            if not zero.any():
-                zero = None
-        with np.errstate(over="ignore"):
-            axes.append((g, dg, mu, s2, s2 ** (p / 2.0), s2 ** (q / 2.0), zero))
+    the minimizer.  f_dot_dir is cell * sum(f * d); diffs, dir_diffs and mu
+    are (n, E) edge arrays.  What does not depend on t (s2, its two powers
+    and, at eps2 = 0, the edges where s2 vanishes) is computed once here, not
+    once per trial step.
 
-    def decrease(t: float) -> float:
-        total = t * f_dot_dir
-        for g, dg, mu, s2, s2_p, s2_q, zero in axes:
-            gt = g - t * dg
-            delta = -t * dg * (g + gt)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                log_r = np.log1p(np.maximum(delta / s2, -1.0))
-                dp = s2_p * np.expm1(0.5 * p * log_r)
-                dq = s2_q * np.expm1(0.5 * q * log_r)
-            if zero is not None:
-                s2t = gt * gt
-                dp = np.where(zero, s2t ** (p / 2.0), dp)
-                dq = np.where(zero, s2t ** (q / 2.0), dq)
-            total += float(np.add.reduce(dp, axis=None)) * cell / p
-            total += float(np.add.reduce(mu * dq, axis=None)) * cell / q
-        return total
+    One call is one pass over a (len(ts), n, E) stack, so the rungs of a
+    backtracking ladder cost one evaluation; each value repeats the
+    single-t arithmetic, with one sum per axis and rung, added in axis order.
+    """
+    s2 = diffs * diffs + eps2
+    zero = None
+    if eps2 == 0.0:
+        zero = s2 == 0.0
+        if not zero.any():
+            zero = None
+    with np.errstate(over="ignore"):
+        s2_p, s2_q = s2 ** (p / 2.0), s2 ** (q / 2.0)
+    n, size = diffs.shape
+
+    def decrease(ts: Sequence[float]) -> list[float]:
+        t = np.array(ts).reshape(-1, 1, 1)
+        gt = diffs - t * dir_diffs
+        delta = -t * dir_diffs * (diffs + gt)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_r = np.log1p(np.maximum(delta / s2, -1.0))
+            dp = s2_p * np.expm1(0.5 * p * log_r)
+            dq = s2_q * np.expm1(0.5 * q * log_r)
+        if zero is not None:
+            s2t = gt * gt
+            dp = np.where(zero, s2t ** (p / 2.0), dp)
+            dq = np.where(zero, s2t ** (q / 2.0), dq)
+        dq *= mu
+        sums_p = dp.reshape(-1, size).sum(axis=1).tolist()
+        sums_q = dq.reshape(-1, size).sum(axis=1).tolist()
+        values = []
+        for rung, step in enumerate(ts):
+            total = step * f_dot_dir
+            for axis in range(rung * n, rung * n + n):
+                total += sums_p[axis] * cell / p
+                total += sums_q[axis] * cell / q
+            values.append(total)
+        return values
 
     return decrease

@@ -10,6 +10,11 @@ Conventions
 * Forward differences live on the staggered edge lattice: along axis i
   there are (m+1) edges per grid line, so an axis-0 edge field in 2-D has
   shape (m+1, m) and an axis-1 edge field has shape (m, m+1).
+* Every axis has the same number E = m**(n-1) * (m+1) of edges, so the
+  kernels keep the edges of all axes in one (n, E) array: row a holds axis
+  a's edges in C order of its edge shape.  Elementwise work makes one pass
+  over that array; _edge_axes gives the per-axis views where a stencil needs
+  an edge shape, and reductions still run per row, in axis order.
 * Quadrature is the scaled lattice sum, sum(values) * h**n, used both for
   nodal fields (nodal rule) and edge fields (midpoint rule).  With this
   pairing the forward difference and the negative edge divergence are
@@ -175,9 +180,57 @@ def _diff(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out.reshape(shape[:axis] + (size + 1,) + shape[axis + 1 :])
 
 
-def _diffs(vals: np.ndarray, h: float) -> list[np.ndarray]:
-    """_diff along every axis."""
-    return [_diff(vals, axis, h) for axis in range(vals.ndim)]
+def _diffs(vals: np.ndarray, h: float) -> np.ndarray:
+    """_diff along every axis of a nodal array, as one (n, E) edge array.
+
+    The values go once into a zeroed flat buffer of runs of m + 1 along the
+    last axis, each run behind a zero, with a zero run above and below in
+    2-D.  Along the last axis the edges are one contiguous subtraction of the
+    buffer from itself shifted by one; along axis 0 in 2-D, one subtraction
+    of its (m + 2, m) view from itself shifted by a run.  Each edge is the
+    subtraction _diff makes, and one division by h follows.
+    """
+    m, n = len(vals), vals.ndim
+    run, runs = m + 1, vals.size // m
+    out = np.empty((n, runs * run))
+    padded = np.zeros((runs + 2) * run + 1)
+    body = padded[run : run + runs * run]
+    body.reshape(-1, run)[:, 1:] = vals.reshape(-1, m)
+    if n == 2:
+        shifted = padded[1:].reshape(m + 2, run)[:, :m]
+        np.subtract(shifted[1:], shifted[:-1], out=out[0].reshape(run, m))
+    np.subtract(padded[run + 1 : run + 1 + body.size], body, out=out[-1])
+    out /= h
+    return out
+
+
+def _edge_axes(edges: np.ndarray) -> list[np.ndarray]:
+    """The rows of an (n, E) edge array as views in their axes' edge shapes."""
+    if len(edges) == 1:
+        return [edges[0]]
+    m = math.isqrt(edges.shape[1])  # E = m * (m + 1)
+    return [edges[0].reshape(m + 1, m), edges[1].reshape(m, m + 1)]
+
+
+def _node_edges(edges: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per axis, views of an (n, E) edge array on each node's lower and upper edge.
+
+    Both views of an axis have the nodal shape; the edge before node k along
+    axis a is edge k of that axis, the edge after it edge k + 1.
+    """
+    views = _edge_axes(edges)
+    pairs = [(views[0][:-1], views[0][1:])]
+    if len(views) == 2:
+        pairs.append((views[1][:, :-1], views[1][:, 1:]))
+    return pairs
+
+
+def _axis_sum(stack: np.ndarray) -> np.ndarray:
+    """The nodal rows of an (n, ...) stack added from +0.0 up, in axis order."""
+    total = stack[0] + 0.0
+    for row in stack[1:]:
+        total += row
+    return total
 
 
 def _neg_div(flux: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -197,9 +250,18 @@ def _neg_div(flux: np.ndarray, axis: int, h: float) -> np.ndarray:
     return np.ascontiguousarray(runs).reshape(shape[:axis] + (size,) + shape[axis + 1 :])
 
 
-def _neg_div_sum(fluxes: list[np.ndarray], h: float) -> np.ndarray:
-    """Sum over axes of _neg_div of the per-axis edge fluxes, from +0.0 up."""
-    return sum(_neg_div(flux, axis, h) for axis, flux in enumerate(fluxes))
+def _neg_div_sum(fluxes: np.ndarray, h: float) -> np.ndarray:
+    """Sum over axes of _neg_div of the rows of an (n, E) edge flux, from +0.0 up.
+
+    Each axis's differences F_right - F_left go into one nodal stack, which
+    is divided by -h once, as _neg_div divides each.
+    """
+    pairs = _node_edges(fluxes)
+    stack = np.empty((len(pairs),) + pairs[0][0].shape)
+    for (low, high), out in zip(pairs, stack):
+        np.subtract(high, low, out=out)
+    stack /= -h
+    return _axis_sum(stack)
 
 
 def forward_diff(u: GridFunction, axis: int) -> EdgeField:

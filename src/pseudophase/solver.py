@@ -37,6 +37,14 @@ over the cell volume, so report.weak_check <= tol_grad * h**n if converged.
 weak_check is one O(N) pass over the edge fluxes that never calls the
 gradient's divergence kernels, bit-identical to weak_residual per indicator.
 
+The line search backtracks by halving.  Newton evaluates the energy change
+at t = 1 alone; when that step fails, it evaluates the ladder's next rungs,
+t/2, t/4, ..., in one stacked pass of energy._raw_energy_decrease and keeps
+them, so the search reads the later rungs without another pass.  A pass
+holds at most _LADDER_ELEMENTS edge values: 36 rungs at 2-D m = 7, 2 at
+m = 31 and one from m = 32, where stacking saves no dispatch.  Each rung's
+value is the one a single-step evaluation gives, so the accepted t is too.
+
 The conjugate-gradient routine and the backtracking line search are shared
 with the adjoint solves and the outer loop of the control module.  CG has
 one loop path, preconditioned or not, and returns the number of products
@@ -62,7 +70,7 @@ from .energy import (
     _raw_energy_decrease,
     energy,
 )
-from .grid import GridFunction, _diffs
+from .grid import GridFunction, _axis_sum, _diffs, _node_edges
 
 __all__ = ["SolverConfig", "SolveReport", "solve_inner"]
 
@@ -73,6 +81,10 @@ STEP_FLOOR = 1e-16
 #: Newton and the control loop's outer steps share.
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
+
+#: A line search evaluates its trial steps below t = 1 in stacked passes of
+#: this many edge values at most: the next rungs of the ladder at once.
+_LADDER_ELEMENTS = 2**12
 
 #: CG treats a direction p with p.Hp <= _CURVATURE_FLOOR * (Gershgorin bound
 #: of H) * p.p as having null curvature.
@@ -237,12 +249,13 @@ def _nodal_weak_residuals(
     """
     h = u.grid.h
     cell = h**u.grid.n
-    residual = 0.0
-    for axis, g in enumerate(_diffs(u.values, h)):
-        flux = _flux(g, mu.per_axis[axis], e).swapaxes(0, axis)
-        nodal = (flux[:-1] * (1.0 / h) + flux[1:] * (-1.0 / h)) * cell
-        residual = residual + nodal.swapaxes(0, axis)
-    return residual - f.values * cell
+    flux = _flux(_diffs(u.values, h), mu.edges, e)
+    ends = zip(_node_edges(flux * (1.0 / h)), _node_edges(flux * (-1.0 / h)))
+    nodal = np.empty((u.grid.n,) + u.grid.shape)
+    for ((low, _), (_, high)), out in zip(ends, nodal):
+        np.add(low, high, out=out)
+    nodal *= cell
+    return _axis_sum(nodal) - f.values * cell
 
 
 def solve_inner(
@@ -277,11 +290,12 @@ def solve_inner(
     gershgorin = 4.0 * grid.n / h**2
     vals = u.values.copy()
     f_vals = f.values
-    mu_axes = mu.per_axis
+    mu_edges = mu.edges
 
     j_val = energy(u, f, mu, e).total
     diffs = _diffs(vals, h)
-    g = _pseudo_operator(diffs, mu_axes, e, h) - f_vals
+    g = _pseudo_operator(diffs, mu_edges, e, h) - f_vals
+    rungs = max(1, _LADDER_ELEMENTS // diffs.size)
     trace = [j_val]
     status = "max_iters"
     iterations = 0
@@ -291,7 +305,7 @@ def solve_inner(
     prev_norm: float | None = None
 
     for _ in range(cfg.max_iters):
-        if float(np.max(np.abs(g))) <= cfg.tol_grad:
+        if float(abs(g).max()) <= cfg.tol_grad:
             status = "converged"
             break
 
@@ -299,8 +313,8 @@ def solve_inner(
         if prev_norm is not None:
             eta = _forcing_term(eta, g_norm, prev_norm, cfg.tol_grad)
         prev_norm = g_norm
-        lin = _linearization(diffs, mu_axes, e, h)
-        floor = _CURVATURE_FLOOR * gershgorin * max(float(np.max(c)) for c in lin.coeffs)
+        lin = _linearization(diffs, mu_edges, e, h)
+        floor = _CURVATURE_FLOOR * gershgorin * float(lin.coeffs.max())
         d, reason, products = _cg(
             partial(_hessian_product, lin), g, eta, vals.size, floor, lin.precondition
         )
@@ -311,13 +325,19 @@ def solve_inner(
             # Round-off can tip a long CG iterate off descent; the Armijo
             # test needs a positive slope to certify a decrease.
             d, slope = g, _dot(g, g)
-        dir_diffs = _diffs(d, h)
         decrease = _raw_energy_decrease(
-            diffs, dir_diffs, cell * _dot(f_vals, d), mu_axes, p, q, eps2, cell
+            diffs, _diffs(d, h), cell * _dot(f_vals, d), mu_edges, p, q, eps2, cell
         )
+        values: dict[float, float] = {}
 
         def trial(t: float) -> tuple[float, None]:
-            return decrease(t), None
+            if t not in values:
+                # t = 1 alone; below it the ladder's next rungs in one pass.
+                ts = [t]
+                while t < 1.0 and len(ts) < rungs and ts[-1] * _BACKTRACK >= STEP_FLOOR:
+                    ts.append(ts[-1] * _BACKTRACK)
+                values.update(zip(ts, decrease(ts)))
+            return values[t], None
 
         accepted = _backtrack(trial, 0.0, cell, slope)
         if accepted is None:
@@ -325,19 +345,19 @@ def solve_inner(
             break
         t, dj, _ = accepted
         new_vals = vals - t * d
-        if np.array_equal(new_vals, vals):
+        if (new_vals == vals).all():
             # The certified step is below the resolution of the iterate.
             status = "stalled"
             break
 
         vals = new_vals
         diffs = _diffs(vals, h)
-        g = _pseudo_operator(diffs, mu_axes, e, h) - f_vals
+        g = _pseudo_operator(diffs, mu_edges, e, h) - f_vals
         j_val = j_val + dj
         trace.append(j_val)
         iterations += 1
 
-    final_grad_norm = float(np.max(np.abs(g)))
+    final_grad_norm = float(abs(g).max())
     if status != "converged" and final_grad_norm <= cfg.tol_grad:
         # The cap landed exactly on a converged iterate.
         status = "converged"

@@ -1106,7 +1106,7 @@ def test_a_sine_preconditioned_solve_repeats_its_bytes_at_one_and_two_blas_threa
         "forcing.preset = sine\nsolver.tol = 1e-6\n",
     )
     g = Grid(2, 99)
-    chosen = energy_module._preconditioner(np.ones(g.shape), WeightField.constant(g, 0.5).per_axis)
+    chosen = energy_module._preconditioner(np.ones(g.shape), WeightField.constant(g, 0.5).edges)
     assert chosen.func is energy_module._sine_solve
     src = os.path.dirname(os.path.dirname(pseudophase.__file__))
     artifacts = []

@@ -33,10 +33,11 @@ from pseudophase.energy import (
     _check_nonsingular,
     _hessian_product,
     _linearization,
+    _pseudo_operator,
     _raw_energy_decrease,
     _sine_solve,
 )
-from pseudophase.grid import _diff, _diffs, _neg_div_sum
+from pseudophase.grid import _diff, _diffs, _edge_axes, _neg_div
 
 # The package exports the function `energy`, which shadows its module.
 energy_module = importlib.import_module("pseudophase.energy")
@@ -243,7 +244,7 @@ def test_hessian_quadratic_case_is_the_operator_itself():
     e = Exponents(2.0, 2.0, 2, 0.0)
     hw = hessian_apply(u, w, mu, e)
     aw = apply_pseudo_operator(w, mu, e)
-    lin = _linearization(_diffs(u.values, g.h), mu.per_axis, e, g.h)
+    lin = _linearization(_diffs(u.values, g.h), mu.edges, e, g.h)
     bound = _PRODUCT_ULPS * np.finfo(float).eps * _stencil_scale(lin, w.values)
     assert np.all(np.abs(hw.values - aw.values) <= bound)
 
@@ -265,10 +266,13 @@ def test_fused_product_equals_the_flux_composition_to_a_few_ulps(n, m, pq, eps_r
     vals = 10.0 ** rng.uniform(-4.0, 1.0) * rng.standard_normal(g.shape)
     vals[rng.random(g.shape) < 0.3] = 0.0
     w = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal(g.shape)
-    lin = _linearization(_diffs(vals, g.h), mu.per_axis, e, g.h)
+    lin = _linearization(_diffs(vals, g.h), mu.edges, e, g.h)
     fused = _hessian_product(lin, w)
     # The product as it was: sum_i neg_div_i(a_i * d_i w).
-    composed = _neg_div_sum([c * _diff(w, axis, g.h) for axis, c in enumerate(lin.coeffs)], g.h)
+    composed = sum(
+        _neg_div(c * _diff(w, axis, g.h), axis, g.h)
+        for axis, c in enumerate(_edge_axes(lin.coeffs))
+    )
     bound = _PRODUCT_ULPS * np.finfo(float).eps * _stencil_scale(lin, w)
     assert np.all(np.abs(fused - composed) <= bound)
     # A fresh array each call, and the scratch buffers carry nothing over.
@@ -328,9 +332,9 @@ def test_flat_product_is_the_slice_product_bit_for_bit(n, m, pq, eps_reg, weight
         vals[rng.random(g.shape) < 0.3] = 0.0
     w = 10.0 ** rng.uniform(-3.0, 3.0) * rng.standard_normal(g.shape)
     w[rng.random(g.shape) < 0.2] = 0.0
-    lin = _linearization(_diffs(vals, g.h), mu.per_axis, e, g.h)
+    lin = _linearization(_diffs(vals, g.h), mu.edges, e, g.h)
     _check_nonsingular(lin)
-    diag, expected = _slice_product(lin.coeffs, g.h, w)
+    diag, expected = _slice_product(_edge_axes(lin.coeffs), g.h, w)
     assert _same_bits(lin.diag, diag)
     assert _same_bits(_hessian_product(lin, w), expected)
     # The couplings are two flat diagonals; a pair across a row end is 0.0.
@@ -349,7 +353,7 @@ def test_flat_product_reads_any_memory_layout():
     for layout in (np.asfortranarray(w), w.T.copy().T, np.repeat(w, 2, axis=1)[:, ::2]):
         got = hessian_apply(u, GridFunction(g, layout), mu, TWO_PHASE_2D).values
         assert _same_bits(got, expected)
-        lin = _linearization(_diffs(u.values, g.h), mu.per_axis, TWO_PHASE_2D, g.h)
+        lin = _linearization(_diffs(u.values, g.h), mu.edges, TWO_PHASE_2D, g.h)
         assert _same_bits(_hessian_product(lin, layout), expected)
 
 
@@ -359,10 +363,10 @@ def test_a_padded_pair_changes_only_the_sign_of_a_zero():
     # that subtraction.  Every value still agrees.
     g = Grid(2, 2)
     mu = WeightField.constant(g, 0.5)
-    lin = _linearization(_diffs(np.ones(g.shape), g.h), mu.per_axis, TWO_PHASE_2D, g.h)
+    lin = _linearization(_diffs(np.ones(g.shape), g.h), mu.edges, TWO_PHASE_2D, g.h)
     w = np.array([[0.0, -0.0], [-1.0, 0.0]])
     got = _hessian_product(lin, w)
-    _, expected = _slice_product(lin.coeffs, g.h, w)
+    _, expected = _slice_product(_edge_axes(lin.coeffs), g.h, w)
     assert np.array_equal(got, expected)
     assert np.signbit(expected[0, 1]) and not np.signbit(got[0, 1])
 
@@ -474,7 +478,7 @@ def test_jacobi_diagonal_equals_hessian_apply_on_the_indicators(n, m, pq, eps_re
     vals = 10.0 ** rng.uniform(-4.0, 1.0) * rng.standard_normal(g.shape)
     vals[rng.random(g.shape) < 0.3] = 0.0
     u = GridFunction(g, vals)
-    lin = _linearization(_diffs(u.values, g.h), mu.per_axis, e, g.h)
+    lin = _linearization(_diffs(u.values, g.h), mu.edges, e, g.h)
     assert np.array_equal(lin.diag, _indicator_diagonal(u, mu, e))
     # Below the sine path's m every record with a Jacobi inverse takes Jacobi.
     inverse = 1.0 / lin.diag
@@ -491,7 +495,7 @@ def test_jacobi_diagonal_is_none_where_a_node_loses_every_coefficient(weight):
     e = Exponents(3.0, 2.0, 2, 0.0)
     mu = WeightField.constant(g, 0.0) if weight == "zero" else WeightField.ramp(g, 2.0)
     with np.errstate(all="raise"):
-        lin = _linearization(_diffs(np.zeros(g.shape), g.h), mu.per_axis, e, g.h)
+        lin = _linearization(_diffs(np.zeros(g.shape), g.h), mu.edges, e, g.h)
         assert lin.precondition is None
 
 
@@ -509,7 +513,7 @@ def test_hessian_apply_builds_no_preconditioner(monkeypatch):
     w = GridFunction(g, np.random.default_rng(42).standard_normal(g.shape))
     hw = hessian_apply(u, w, mu, TWO_PHASE_2D)
     assert not built
-    lin = _linearization(_diffs(u.values, g.h), mu.per_axis, TWO_PHASE_2D, g.h)
+    lin = _linearization(_diffs(u.values, g.h), mu.edges, TWO_PHASE_2D, g.h)
     assert built == [1] and lin.precondition.func is _sine_solve
     assert _same_bits(hw.values, _hessian_product(lin, w.values))
 
@@ -526,7 +530,7 @@ def test_sine_preconditioner_inverts_a_constant_coefficient_hessian():
     g = Grid(2, 31)
     e = Exponents(2.0, 2.0, 2, 0.0)
     u, _ = _random_problem(g, 43)
-    lin = _linearization(_diffs(u.values, g.h), WeightField.constant(g, 0.7).per_axis, e, g.h)
+    lin = _linearization(_diffs(u.values, g.h), WeightField.constant(g, 0.7).edges, e, g.h)
     assert lin.precondition.func is _sine_solve
     rng = np.random.default_rng(44)
     for _ in range(3):
@@ -540,7 +544,7 @@ def test_sine_preconditioner_inverts_a_constant_coefficient_hessian():
 def test_sine_preconditioner_is_symmetric_positive_definite(m):
     g = Grid(2, m)
     u, _ = _random_problem(g, 45)
-    lin = _linearization(_diffs(u.values, g.h), _positive_weight(g).per_axis, TWO_PHASE_2D, g.h)
+    lin = _linearization(_diffs(u.values, g.h), _positive_weight(g).edges, TWO_PHASE_2D, g.h)
     assert lin.precondition.func is _sine_solve
     rng = np.random.default_rng(m)
     mr, mw = np.empty(g.n_nodes), np.empty(g.n_nodes)
@@ -562,7 +566,7 @@ from pseudophase.energy import _preconditioner
 g = Grid(2, int(sys.argv[1]))
 rng = np.random.default_rng(46)
 diag = rng.uniform(1.0, 2.0, g.shape)
-precondition = _preconditioner(diag, WeightField.constant(g, 0.5).per_axis)
+precondition = _preconditioner(diag, WeightField.constant(g, 0.5).edges)
 out = np.empty(g.n_nodes)
 precondition(rng.standard_normal(g.n_nodes), out)
 print(precondition.func.__name__, hashlib.sha256(out.tobytes()).hexdigest())
@@ -897,10 +901,10 @@ def test_raw_energy_decrease_matches_energy_difference():
     f_dot = cell * float(np.sum(f.values * d.values))
     j0 = energy(u, f, mu, e).total
     decrease = _raw_energy_decrease(
-        diffs, dir_diffs, f_dot, mu.per_axis, e.p, e.q, e.eps_reg**2, cell
+        diffs, dir_diffs, f_dot, mu.edges, e.p, e.q, e.eps_reg**2, cell
     )
     for t in (1e-1, 1e-3, 1e-6):
-        dj = decrease(t)
+        dj = decrease([t])[0]
         jt = energy(u - t * d, f, mu, e).total
         assert dj == pytest.approx(jt - j0, rel=1e-7, abs=1e-13)
 
@@ -918,10 +922,100 @@ def test_raw_energy_decrease_handles_vanishing_edges_without_eps():
     diffs = _diffs(u.values, g.h)
     dir_diffs = _diffs(d.values, g.h)
     t = 0.25
-    dj = _raw_energy_decrease(diffs, dir_diffs, 0.0, mu.per_axis, 2.0, 2.0, 0.0, cell)(t)
+    dj = _raw_energy_decrease(diffs, dir_diffs, 0.0, mu.edges, 2.0, 2.0, 0.0, cell)([t])[0]
     j0 = energy(u, f, mu, e).total
     jt = energy(u - t * d, f, mu, e).total
     assert dj == pytest.approx(jt - j0, rel=1e-12, abs=1e-14)
+
+
+def _per_axis_state(n, m, eps_reg, seed):
+    """A state with vanishing differences, its direction, a ramp weight and exponents."""
+    g = Grid(n, m)
+    e = Exponents(4.0, 2.0, n, 0.0) if eps_reg == 0.0 else Exponents(4.0, 1.5, n, eps_reg)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(g.shape)
+    vals[rng.random(g.shape) < 0.4] = 0.0
+    vals[(0,) * n] = vals[(-1,) * n] = 0.0  # an edge with g = 0 on every grid
+    return g, e, WeightField.ramp(g, 2.0), vals, rng.standard_normal(g.shape)
+
+
+def _per_axis_flux(g, mu, e):
+    s2 = g * g + e.eps_reg**2
+    return s2 ** ((e.p - 2.0) / 2.0) * g + mu * s2 ** ((e.q - 2.0) / 2.0) * g
+
+
+def _per_axis_coeff(g, mu, e):
+    g2 = g * g
+    eps2 = e.eps_reg**2
+    s2 = g2 + eps2
+    coeff = s2 ** ((e.p - 4.0) / 2.0) * ((e.p - 1.0) * g2 + eps2)
+    return coeff + mu * s2 ** ((e.q - 4.0) / 2.0) * ((e.q - 1.0) * g2 + eps2)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 7, 31])
+def test_edge_array_operator_and_record_repeat_the_per_axis_formulas_bit_for_bit(n, m):
+    grid, e, mu, vals, _ = _per_axis_state(n, m, 1e-6, 30 * m + n)
+    h = grid.h
+    diffs = [_diff(vals, axis, h) for axis in range(n)]
+    fluxes = [_per_axis_flux(d, w, e) for d, w in zip(diffs, mu.per_axis)]
+    expected = sum(_neg_div(flux, axis, h) for axis, flux in enumerate(fluxes))
+    assert _pseudo_operator(_diffs(vals, h), mu.edges, e, h).tobytes() == expected.tobytes()
+    # The record as it was built one axis at a time.
+    coeffs = [_per_axis_coeff(d, w, e) for d, w in zip(diffs, mu.per_axis)]
+    scaled = [c * (1.0 / (h * h)) for c in coeffs]
+    diag = scaled[0][:-1] + scaled[0][1:]
+    legs = [scaled[0][1:-1].ravel()]
+    if n == 2:
+        diag = diag + (scaled[1][:, :-1] + scaled[1][:, 1:])
+        off = scaled[1][:, 1:].ravel()
+        off[m - 1 :: m] = 0.0
+        legs.append(off[:-1])
+    lin = _linearization(_diffs(vals, h), mu.edges, e, h)
+    assert [row.tobytes() for row in lin.coeffs] == [c.tobytes() for c in coeffs]
+    assert lin.diag.tobytes() == diag.tobytes()
+    assert [off.tobytes() for off, _, _ in lin.legs] == [off.tobytes() for off in legs]
+
+
+def _per_axis_decrease(grid, vals, dvals, f_dot, mu, e, t):
+    """J(u - t*d) - J(u) as a single-step closure adds it: one edge shape per axis."""
+    h, cell = grid.h, grid.h**grid.n
+    p, q, eps2 = e.p, e.q, e.eps_reg**2
+    total = t * f_dot
+    for axis, w in enumerate(mu.per_axis):
+        g, dg = _diff(vals, axis, h), _diff(dvals, axis, h)
+        s2 = g * g + eps2
+        gt = g - t * dg
+        delta = -t * dg * (g + gt)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_r = np.log1p(np.maximum(delta / s2, -1.0))
+            dp = s2 ** (p / 2.0) * np.expm1(0.5 * p * log_r)
+            dq = s2 ** (q / 2.0) * np.expm1(0.5 * q * log_r)
+        dp = np.where(s2 == 0.0, (gt * gt) ** (p / 2.0), dp)
+        dq = np.where(s2 == 0.0, (gt * gt) ** (q / 2.0), dq)
+        total += float(np.add.reduce(dp, axis=None)) * cell / p
+        total += float(np.add.reduce(w * dq, axis=None)) * cell / q
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 7, 31])
+@pytest.mark.parametrize("eps_reg", [0.0, 1e-4])
+def test_a_stacked_ladder_pass_repeats_the_single_step_evaluations(n, m, eps_reg):
+    grid, e, mu, vals, dvals = _per_axis_state(n, m, eps_reg, 40 * m + n)
+    h, cell = grid.h, grid.h**grid.n
+    diffs = _diffs(vals, h)
+    if eps_reg == 0.0:
+        assert not diffs.all()  # the zero-edge branch runs
+    f_dot = 0.3 * cell
+    decrease = _raw_energy_decrease(
+        diffs, _diffs(dvals, h), f_dot, mu.edges, e.p, e.q, e.eps_reg**2, cell
+    )
+    ladder = [0.5**k for k in range(37)]
+    stacked = np.array(decrease(ladder))
+    assert stacked.tobytes() == np.array([decrease([t])[0] for t in ladder]).tobytes()
+    expected = [_per_axis_decrease(grid, vals, dvals, f_dot, mu, e, t) for t in ladder]
+    assert stacked.tobytes() == np.array(expected).tobytes()
 
 
 def test_dimension_mismatch_between_grid_and_exponents():

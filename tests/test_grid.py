@@ -21,7 +21,7 @@ from pseudophase import (
     write_grid_function,
 )
 from pseudophase.energy import Exponents, WeightField, _energy_terms
-from pseudophase.grid import _diff, _neg_div, _sobolev_norms
+from pseudophase.grid import _diff, _diffs, _edge_axes, _neg_div, _neg_div_sum, _sobolev_norms
 
 
 def test_grid_smallest():
@@ -212,6 +212,34 @@ def test_neg_div_holds_its_differences_and_its_result():
         flux = np.random.default_rng(axis).standard_normal(g.edge_shape(axis))
         result = 63 * 63 * 8
         assert _traced_peak(lambda: _neg_div(flux, axis, g.h)) <= flux.nbytes + result + 1024
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 7, 31])
+def test_edge_array_rows_are_the_per_axis_differences_bit_for_bit(n, m):
+    g = Grid(n, m)
+    rng = np.random.default_rng(10 * m + n)
+    vals = rng.standard_normal(g.shape)
+    vals[rng.random(g.shape) < 0.3] = -0.0
+    edges = _diffs(vals, g.h)
+    assert edges.shape == (n, m ** (n - 1) * (m + 1))
+    for axis, view in enumerate(_edge_axes(edges)):
+        expected = _diff(vals, axis, g.h)
+        assert view.shape == expected.shape == g.edge_shape(axis)
+        assert np.shares_memory(view, edges)
+        assert edges[axis].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 7, 31])
+def test_edge_array_divergence_is_the_per_axis_sum_bit_for_bit(n, m):
+    # The sum over axes of _neg_div, from +0.0 up, signed zeros included.
+    g = Grid(n, m)
+    rng = np.random.default_rng(20 * m + n)
+    fluxes = rng.standard_normal((n, m ** (n - 1) * (m + 1)))
+    fluxes[rng.random(fluxes.shape) < 0.3] = -0.0
+    expected = sum(_neg_div(flux, axis, g.h) for axis, flux in enumerate(_edge_axes(fluxes)))
+    assert _neg_div_sum(fluxes, g.h).tobytes() == expected.tobytes()
 
 
 def test_quadrature_ones_2d():

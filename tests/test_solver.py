@@ -20,9 +20,11 @@ from pseudophase import (
     SolverConfig,
     WeightField,
     hessian_apply,
+    read_grid_function,
     sobolev_norm,
     solve_inner,
     weak_residual,
+    write_grid_function,
 )
 from pseudophase.solver import _cg, _nodal_weak_residuals
 
@@ -229,7 +231,7 @@ def test_one_newton_step_builds_the_linearization_once(monkeypatch):
     rep = solve_inner(f, mu, e, SolverConfig(max_iters=1))
     assert rep.iterations == 1
     assert rep.matvecs > g.n
-    assert len(built) == g.n
+    assert len(built) == 1
 
 
 def test_solver_config_validation():
@@ -537,7 +539,7 @@ def test_records_off_the_sine_path_repeat_the_frozen_jacobi_iterates(n, m, weigh
     if eps_reg == 0.0:
         # With q > 2 the centre of a zero block loses every coefficient.
         vals[10:13, 10:13] = 0.0
-    lin = energy_module._linearization(grid_module._diffs(vals, g.h), mu.per_axis, e, g.h)
+    lin = energy_module._linearization(grid_module._diffs(vals, g.h), mu.edges, e, g.h)
 
     def product(w):
         return energy_module._hessian_product(lin, w)
@@ -605,7 +607,7 @@ def test_jacobi_cg_holds_five_vectors_beyond_what_its_products_allocate():
     # while the next one is made, would add a sixth node-sized vector.
     f, mu, e = _ramp_sine_problem(63)
     h = f.grid.h
-    lin = energy_module._linearization(grid_module._diffs(0.01 * f.values, h), mu.per_axis, e, h)
+    lin = energy_module._linearization(grid_module._diffs(0.01 * f.values, h), mu.edges, e, h)
     assert lin.precondition.func is energy_module._jacobi
     vector = 8 * f.values.size
 
@@ -628,6 +630,72 @@ def test_jacobi_cg_holds_five_vectors_beyond_what_its_products_allocate():
     product_peak = traced_peak(lambda: product(f.values))
     assert product_peak <= vector + 1024
     assert traced_peak(solve) <= 5 * vector + product_peak + 1024
+
+
+def _per_axis_weak_residuals(u, f, mu, e):
+    """_nodal_weak_residuals one axis at a time, over edge-shaped fluxes."""
+    h = u.grid.h
+    cell = h**u.grid.n
+    residual = 0.0
+    for axis, w in enumerate(mu.per_axis):
+        g = grid_module._diff(u.values, axis, h)
+        s2 = g * g + e.eps_reg**2
+        flux = s2 ** ((e.p - 2.0) / 2.0) * g + w * s2 ** ((e.q - 2.0) / 2.0) * g
+        flux = flux.swapaxes(0, axis)
+        nodal = (flux[:-1] * (1.0 / h) + flux[1:] * (-1.0 / h)) * cell
+        residual = residual + nodal.swapaxes(0, axis)
+    return residual - f.values * cell
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 7, 31])
+def test_nodal_weak_residuals_repeat_the_per_axis_pass_bit_for_bit(n, m):
+    g = Grid(n, m)
+    rng = np.random.default_rng(50 * m + n)
+    vals = rng.standard_normal(g.shape)
+    vals[rng.random(g.shape) < 0.3] = 0.0
+    u, f = GridFunction(g, vals), GridFunction(g, rng.standard_normal(g.shape))
+    mu = WeightField.ramp(g, 2.0)
+    e = Exponents(4.0, 1.5, n, 1e-6)
+    got = _nodal_weak_residuals(u, f, mu, e)
+    assert got.tobytes() == _per_axis_weak_residuals(u, f, mu, e).tobytes()
+
+
+def test_a_cold_coarse_solve_reaches_its_first_step_in_two_decrease_passes(monkeypatch, tmp_path):
+    # The solve-coarse problem: a strict 7 x 7 solve whose ramp weight comes
+    # from a nodal CSV.  Its first Newton step backtracks to t = 2^-24; t = 1
+    # is one pass, and the ladder's next 36 rungs are one more.
+    g = Grid(2, 7)
+    x, y = np.meshgrid(*g.node_coords(), indexing="ij")
+    path = str(tmp_path / "weight.csv")
+    write_grid_function(GridFunction(g, 4.0 * np.maximum(0.0, x - 0.5)), path)
+    mu = WeightField.from_nodal(g, read_grid_function(path, g))
+    e = Exponents(4.0, 4.0 / 3.0, 2, 1e-4, strict_sobolev=True)
+    f = GridFunction(g, np.sin(np.pi * x) * np.sin(np.pi * y))
+    passes, accepted = [], []
+    real_decrease, real_backtrack = solver_module._raw_energy_decrease, solver_module._backtrack
+
+    def counted_decrease(*args):
+        decrease = real_decrease(*args)
+
+        def counted(ts):
+            passes.append(list(ts))
+            return decrease(ts)
+
+        return counted
+
+    def recorded_backtrack(*args):
+        out = real_backtrack(*args)
+        accepted.append(out[0])
+        return out
+
+    monkeypatch.setattr(solver_module, "_raw_energy_decrease", counted_decrease)
+    monkeypatch.setattr(solver_module, "_backtrack", recorded_backtrack)
+    rep = solve_inner(f, mu, e, SolverConfig(tol_grad=1e-6, max_iters=1))
+    assert rep.iterations == 1
+    assert accepted == [2.0**-24]
+    assert len(passes) <= 3
+    assert passes[0] == [1.0] and passes[1][:2] == [0.5, 0.25]
 
 
 def _indicator_loop(u, f, mu, e):
