@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from typing import Callable
 
@@ -343,16 +344,23 @@ def _sobolev_norms(stack: np.ndarray, grid: Grid, p: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def write_grid_function(u: GridFunction, path: str) -> None:
-    """Write a nodal field as CSV with coordinates, deterministically."""
-    grid = u.grid
+@lru_cache(maxsize=4)
+def _csv_template(grid: Grid) -> str:
+    """The CSV text of a nodal field on grid with a %.17g slot for each value.
+
+    One line per node in C order; %.17g formats a float exactly as {:.17g} does.
+    """
     coords = [[f"{c:.17g}" for c in axis] for axis in grid.node_coords()]
     points = coords[0] if grid.n == 1 else [f"{x},{y}" for x in coords[0] for y in coords[1]]
     header = "x,value" if grid.n == 1 else "x,y,value"
-    # One line per node in C order; %.17g formats a float exactly as {:.17g} does.
-    template = header + "\n" + "".join(f"{p},%.17g\n" for p in points)
+    return header + "\n" + "".join(f"{p},%.17g\n" for p in points)
+
+
+def write_grid_function(u: GridFunction, path: str) -> None:
+    """Write a nodal field as CSV with coordinates, deterministically."""
+    text = _csv_template(u.grid) % tuple(u.values.reshape(-1).tolist())
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(template % tuple(u.values.reshape(-1).tolist()))
+        fh.write(text)
 
 
 def _row_error(path: str, raw: list[str], width: int, err: ValueError) -> ValueError:
