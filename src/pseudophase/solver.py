@@ -30,13 +30,14 @@ identity, which rounds as none.  report.cg_curvature_stops counts the
 Newton steps whose CG ended on that curvature test.
 
 CG iterates on flat vectors, and every reduction of the Krylov loops here
-and in the control module is one BLAS dot: CG's own by ndarray.dot, the
-gradient norms, the slopes and f.d by _dot.  A run repeats its bits on
-one machine, but the dot's rounding follows the ddot kernel OpenBLAS
-picks for the CPU and its thread count, so another machine may differ in
-the last bits.  The sine-basis preconditioner multiplies by its basis in
-row blocks small enough for a one-thread GEMM, so it adds no dependence on
-the thread count.
+and in the control module is a BLAS dot: CG's own, the gradient norms,
+the slopes and f.d.  Up to _DOT_CHUNK elements it is one ndarray.dot;
+longer vectors sum ndarray.dot over chunks of _DOT_CHUNK, in order, since
+OpenBLAS splits a longer ddot over its threads and the bits would follow
+the thread count.  The sine-basis preconditioner multiplies by its basis
+in row blocks small enough for a one-thread GEMM, so a run repeats its
+bits on one machine at any thread count; another CPU's ddot kernel may
+round differently in the last bits.
 
 Convergence is declared on the max-norm of the energy gradient, whose
 component at node k is the weak residual against the indicator of node k
@@ -112,15 +113,28 @@ _CAP_BAND = 0.01
 _CAP_CUT = 0.5
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """The dot product of a and b over their flat views, one BLAS ddot.
+#: A dot of more elements sums the ddots of chunks this long, in order: a
+#: ddot of at most 10 000 elements runs on one OpenBLAS thread.
+_DOT_CHUNK = 8192
 
-    It rounds unlike np.sum's pairwise sum.  Its bits depend on the length
-    and the values, not on where the operands sit in memory, so a run
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The dot product of a and b over their flat views, by BLAS ddots.
+
+    One ddot up to _DOT_CHUNK elements; above, the ddots of consecutive
+    _DOT_CHUNK-element chunks added in order.  It rounds unlike np.sum's
+    pairwise sum.  Its bits depend on the length and the values, not on
+    where the operands sit in memory or on the BLAS thread count, so a run
     repeats itself on one machine; a CPU that selects another ddot kernel
     may differ in the last bits.
     """
-    return float(a.ravel().dot(b.ravel()))
+    a, b = a.ravel(), b.ravel()
+    if a.size <= _DOT_CHUNK:
+        return float(a.dot(b))
+    total = 0.0
+    for i in range(0, a.size, _DOT_CHUNK):
+        total += float(a[i : i + _DOT_CHUNK].dot(b[i : i + _DOT_CHUNK]))
+    return total
 
 
 def _cg(
@@ -141,14 +155,16 @@ def _cg(
     iterate before that direction, or b itself when the first direction
     already failed.  products counts the calls of apply_A.
 
-    The iteration runs on flat vectors with BLAS dots; apply_A gets a view
-    of the direction in b's shape, which it must not keep, and precondition
-    gets the flat residual.
+    The iteration runs on flat vectors with the dots of _dot; apply_A gets
+    a view of the direction in b's shape, which it must not keep, and
+    precondition gets the flat residual.
     """
     shape = b.shape
     r = b.ravel().astype(float)
     x = np.zeros(r.size)
-    b_norm = math.sqrt(r.dot(r))
+    # _dot's rounding, without its call on short vectors.
+    dot = np.ndarray.dot if r.size <= _DOT_CHUNK else _dot
+    b_norm = math.sqrt(dot(r, r))
     if b_norm == 0.0:
         return x.reshape(shape), "converged", 0
     if precondition is None:
@@ -158,12 +174,12 @@ def _cg(
     p = z.copy()
     p_view = p.reshape(shape)
     tmp = np.empty_like(r)
-    rz = float(r.dot(z))
+    rz = float(dot(r, z))
     for k in range(max_iters):
         Ap = apply_A(p_view).ravel()
-        pAp = float(p.dot(Ap))
+        pAp = float(dot(p, Ap))
         # 0.0 * p.p is 0: without a floor, p.p is not needed.
-        if pAp <= (curvature_floor * float(p.dot(p)) if curvature_floor else 0.0):
+        if pAp <= (curvature_floor * float(dot(p, p)) if curvature_floor else 0.0):
             return (b if k == 0 else x.reshape(shape)), "curvature", k + 1
         alpha = rz / pAp
         # p*alpha into tmp rounds as alpha*p, without a temporary.
@@ -171,11 +187,11 @@ def _cg(
         r -= np.multiply(Ap, alpha, out=tmp)
         # A product returns a fresh array: hold one at a time, not two.
         del Ap
-        rr = float(r.dot(r))
+        rr = float(dot(r, r))
         if math.sqrt(rr) <= tol * b_norm:
             return x.reshape(shape), "converged", k + 1
         precondition(r, z)
-        rz_new = float(r.dot(z))
+        rz_new = float(dot(r, z))
         # p*beta + z rounds as z + beta*p.
         p *= rz_new / rz
         p += z

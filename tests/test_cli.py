@@ -1094,6 +1094,33 @@ def test_an_op_imports_nothing_and_only_convexity_loads_numpy_random(tmp_path, c
     assert numpy_random == (command == "convexity")
 
 
+def test_a_solve_above_ten_thousand_nodes_repeats_its_bytes_at_one_and_two_blas_threads(tmp_path):
+    # OpenBLAS splits a ddot of more than 10 000 elements over its threads;
+    # the solver's dots sum one-thread ddots of 8 192-element chunks.
+    cfg = _write(
+        tmp_path,
+        "run.cfg",
+        "command = solve\ngrid.n = 2\ngrid.m = 101\nexponents.mode = strict\n"
+        "exponents.q = 4/3\nexponents.epsilon = 1e-4\nweight.kind = ramp\n"
+        "weight.mu1 = 2\nforcing.kind = preset\nforcing.preset = sine\nsolver.tol = 1e-6\n",
+    )
+    src = os.path.dirname(os.path.dirname(pseudophase.__file__))
+    artifacts = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run(
+            [sys.executable, "-m", "pseudophase.cli", "solve", "--config", cfg, "--out", str(out)],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        artifacts.append([(out / name).read_bytes() for name in ("u.csv", "report.txt")])
+    assert b"status = converged" in artifacts[0][1]
+    assert artifacts[1] == artifacts[0]
+
+
 def test_a_sine_preconditioned_solve_repeats_its_bytes_at_one_and_two_blas_threads(tmp_path):
     # Below 10 000 nodes a BLAS ddot runs on one thread, and the sine basis
     # multiplies in row blocks under OpenBLAS's GEMM threading threshold.
