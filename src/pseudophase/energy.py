@@ -448,7 +448,7 @@ def weak_residual(
     cell = grid.h**grid.n
     paired = _flux(_diffs(u.values, grid.h), mu.edges, e) * _diffs(phi.values, grid.h)
     total = 0.0
-    for axis_sum in paired.sum(axis=1).tolist():
+    for axis_sum in _row_sums(paired).tolist():
         total += axis_sum * cell
     total -= float(np.sum(f.values * phi.values)) * cell
     return total
@@ -477,16 +477,17 @@ class _Linearization:
     """The Hessian of the power terms at one state, as a 5-point stencil.
 
     coeffs holds the edge coefficients (_hessian_coeff) in the (n, E)
-    layout of grid._diffs, row i for axis i.  Per node, diag is the sum over
-    axes of the two edge coefficients around it over h^2; the boundary edges couple to the Dirichlet zeros and only
-    enter diag.  legs holds per axis (off, s, tmp) over the nodes in C
-    order: off[k] couples node k to node k + s over h^2 (s = m for axis 0
-    in 2-D, else 1), 0.0 where that pair crosses a row end, and tmp is a
-    view of the one scratch buffer.  singular is set when eps_reg = 0 and a
-    coefficient vanishes; _check_nonsingular reads it.  diag is
-    hessian_apply(u, e_k)[k] by construction.  precondition(r, out) writes
-    the preconditioned residual of every CG over the record into out
-    (_preconditioner chooses it), or is None for the identity.
+    layout of grid._diffs, row i for axis i.  Per node, diag is the sum
+    over axes of the two edge coefficients around it over h^2; the boundary
+    edges couple to the Dirichlet zeros and only enter diag.  legs holds
+    per axis (off, s, tmp) over the nodes in C order: off[k] couples node k
+    to node k + s over h^2 (s = m for axis 0 in 2-D, else 1), 0.0 where
+    that pair crosses a row end, and tmp is a view of the one scratch
+    buffer.  singular is set when eps_reg = 0 and a coefficient vanishes;
+    _check_nonsingular reads it.  diag is hessian_apply(u, e_k)[k] by
+    construction.  precondition(r, out) writes the preconditioned residual
+    of every CG over the record into out (_preconditioner chooses it), or
+    is None for the identity.
     """
 
     coeffs: np.ndarray
@@ -726,8 +727,8 @@ def _raw_energy_decrease(
             dp = np.where(zero, s2t ** (p / 2.0), dp)
             dq = np.where(zero, s2t ** (q / 2.0), dq)
         dq *= mu
-        sums_p = dp.reshape(-1, size).sum(axis=1).tolist()
-        sums_q = dq.reshape(-1, size).sum(axis=1).tolist()
+        sums_p = _row_sums(dp.reshape(-1, size)).tolist()
+        sums_q = _row_sums(dq.reshape(-1, size)).tolist()
         values = []
         for rung, step in enumerate(ts):
             total = step * f_dot_dir

@@ -112,7 +112,6 @@ _CAP_STEPS = 10
 _CAP_BAND = 0.01
 _CAP_CUT = 0.5
 
-
 #: A dot of more elements sums the ddots of chunks this long, in order: a
 #: ddot of at most 10 000 elements runs on one OpenBLAS thread.
 _DOT_CHUNK = 8192
@@ -346,8 +345,6 @@ def solve_inner(
         if prev_norm is not None:
             eta = _forcing_term(eta, g_norm, prev_norm, cfg.tol_grad, cap)
         prev_norm = g_norm
-        # A forcing term that stays at its cap makes each step a gradient
-        # step that shrinks |g| too little to lower the next term: lower the cap.
         at_cap = at_cap + 1 if eta >= (1.0 - _CAP_BAND) * cap else 0
         if at_cap == _CAP_STEPS:
             cap *= _CAP_CUT
