@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
 from typing import Callable
 
@@ -344,23 +343,16 @@ def _sobolev_norms(stack: np.ndarray, grid: Grid, p: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4)
-def _csv_template(grid: Grid) -> str:
-    """The CSV text of a nodal field on grid with a %.17g slot for each value.
-
-    One line per node in C order; %.17g formats a float exactly as {:.17g} does.
-    """
+def write_grid_function(u: GridFunction, path: str) -> None:
+    """Write a nodal field as CSV with coordinates, deterministically."""
+    grid = u.grid
     coords = [[f"{c:.17g}" for c in axis] for axis in grid.node_coords()]
     points = coords[0] if grid.n == 1 else [f"{x},{y}" for x in coords[0] for y in coords[1]]
     header = "x,value" if grid.n == 1 else "x,y,value"
-    return header + "\n" + "".join(f"{p},%.17g\n" for p in points)
-
-
-def write_grid_function(u: GridFunction, path: str) -> None:
-    """Write a nodal field as CSV with coordinates, deterministically."""
-    text = _csv_template(u.grid) % tuple(u.values.reshape(-1).tolist())
+    # One line per node in C order; %.17g formats a float exactly as {:.17g} does.
+    template = header + "\n" + "".join(f"{p},%.17g\n" for p in points)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+        fh.write(template % tuple(u.values.reshape(-1).tolist()))
 
 
 def _row_error(path: str, raw: list[str], width: int, err: ValueError) -> ValueError:

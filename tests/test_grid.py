@@ -22,7 +22,6 @@ from pseudophase import (
 )
 from pseudophase.energy import Exponents, WeightField, _energy_terms
 from pseudophase.grid import (
-    _csv_template,
     _diff,
     _diffs,
     _edge_axes,
@@ -429,17 +428,6 @@ def test_csv_writer_matches_the_per_row_writer_byte_for_byte(tmp_path, n, m):
         path = tmp_path / "u.csv"
         write_grid_function(u, str(path))
         assert path.read_bytes() == _per_row_csv(u)
-
-
-def test_csv_writer_builds_its_template_once_per_grid(tmp_path):
-    g = Grid(2, 5)
-    _csv_template.cache_clear()
-    path = tmp_path / "u.csv"
-    for seed in range(3):
-        u = GridFunction(g, np.random.default_rng(seed).standard_normal(g.shape))
-        write_grid_function(u, str(path))
-        assert path.read_bytes() == _per_row_csv(u)
-    assert _csv_template.cache_info().misses == 1
 
 
 def test_csv_reader_parses_every_token_as_float_does(tmp_path):
