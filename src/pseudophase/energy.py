@@ -686,8 +686,8 @@ def _raw_energy_decrease(
     q: float,
     eps2: float,
     cell: float,
-) -> Callable[[Sequence[float]], list[float]]:
-    """ts -> [J(u - t*d) - J(u) for t in ts], evaluated to *relative* precision.
+) -> Callable[[float], float]:
+    """t -> J(u - t*d) - J(u), evaluated to *relative* precision.
 
     Subtracting two full energies loses every digit once the step change
     drops below the round-off of J itself, which freezes line searches at
@@ -700,9 +700,8 @@ def _raw_energy_decrease(
     and, at eps2 = 0, the edges where s2 vanishes) is computed once here, not
     once per trial step.
 
-    One call is one pass over a (len(ts), n, E) stack, so the rungs of a
-    backtracking ladder cost one evaluation; each value repeats the
-    single-t arithmetic, with one sum per axis and rung, added in axis order.
+    One call is one pass over the (n, E) arrays, with one sum per axis,
+    added in axis order.
     """
     s2 = diffs * diffs + eps2
     zero = None
@@ -712,10 +711,8 @@ def _raw_energy_decrease(
             zero = None
     with np.errstate(over="ignore"):
         s2_p, s2_q = s2 ** (p / 2.0), s2 ** (q / 2.0)
-    n, size = diffs.shape
 
-    def decrease(ts: Sequence[float]) -> list[float]:
-        t = np.array(ts).reshape(-1, 1, 1)
+    def decrease(t: float) -> float:
         gt = diffs - t * dir_diffs
         delta = -t * dir_diffs * (diffs + gt)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -727,15 +724,10 @@ def _raw_energy_decrease(
             dp = np.where(zero, s2t ** (p / 2.0), dp)
             dq = np.where(zero, s2t ** (q / 2.0), dq)
         dq *= mu
-        sums_p = _row_sums(dp.reshape(-1, size)).tolist()
-        sums_q = _row_sums(dq.reshape(-1, size)).tolist()
-        values = []
-        for rung, step in enumerate(ts):
-            total = step * f_dot_dir
-            for axis in range(rung * n, rung * n + n):
-                total += sums_p[axis] * cell / p
-                total += sums_q[axis] * cell / q
-            values.append(total)
-        return values
+        total = t * f_dot_dir
+        for sum_p, sum_q in zip(_row_sums(dp).tolist(), _row_sums(dq).tolist()):
+            total += sum_p * cell / p
+            total += sum_q * cell / q
+        return total
 
     return decrease

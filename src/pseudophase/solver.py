@@ -45,14 +45,6 @@ over the cell volume, so report.weak_check <= tol_grad * h**n if converged.
 weak_check is one O(N) pass over the edge fluxes that never calls the
 gradient's divergence kernels, bit-identical to weak_residual per indicator.
 
-The line search backtracks by halving.  Newton evaluates the energy change
-at t = 1 alone; when that step fails, it evaluates the ladder's next rungs,
-t/2, t/4, ..., in one stacked pass of energy._raw_energy_decrease and keeps
-them, so the search reads the later rungs without another pass.  A pass
-holds at most _LADDER_ELEMENTS edge values: 36 rungs at 2-D m = 7, 2 at
-m = 31 and one from m = 32, where stacking saves no dispatch.  Each rung's
-value is the one a single-step evaluation gives, so the accepted t is too.
-
 The conjugate-gradient routine and the backtracking line search are shared
 with the adjoint solves and the outer loop of the control module.  CG has
 one loop path, preconditioned or not, and returns the number of products
@@ -89,10 +81,6 @@ STEP_FLOOR = 1e-16
 #: Newton and the control loop's outer steps share.
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
-
-#: A line search evaluates its trial steps below t = 1 in stacked passes of
-#: this many edge values at most: the next rungs of the ladder at once.
-_LADDER_ELEMENTS = 2**12
 
 #: CG treats a direction p with p.Hp <= _CURVATURE_FLOOR * (Gershgorin bound
 #: of H) * p.p as having null curvature.
@@ -161,9 +149,7 @@ def _cg(
     shape = b.shape
     r = b.ravel().astype(float)
     x = np.zeros(r.size)
-    # _dot's rounding, without its call on short vectors.
-    dot = np.ndarray.dot if r.size <= _DOT_CHUNK else _dot
-    b_norm = math.sqrt(dot(r, r))
+    b_norm = math.sqrt(_dot(r, r))
     if b_norm == 0.0:
         return x.reshape(shape), "converged", 0
     if precondition is None:
@@ -173,12 +159,12 @@ def _cg(
     p = z.copy()
     p_view = p.reshape(shape)
     tmp = np.empty_like(r)
-    rz = float(dot(r, z))
+    rz = _dot(r, z)
     for k in range(max_iters):
         Ap = apply_A(p_view).ravel()
-        pAp = float(dot(p, Ap))
+        pAp = _dot(p, Ap)
         # 0.0 * p.p is 0: without a floor, p.p is not needed.
-        if pAp <= (curvature_floor * float(dot(p, p)) if curvature_floor else 0.0):
+        if pAp <= (curvature_floor * _dot(p, p) if curvature_floor else 0.0):
             return (b if k == 0 else x.reshape(shape)), "curvature", k + 1
         alpha = rz / pAp
         # p*alpha into tmp rounds as alpha*p, without a temporary.
@@ -186,11 +172,11 @@ def _cg(
         r -= np.multiply(Ap, alpha, out=tmp)
         # A product returns a fresh array: hold one at a time, not two.
         del Ap
-        rr = float(dot(r, r))
+        rr = _dot(r, r)
         if math.sqrt(rr) <= tol * b_norm:
             return x.reshape(shape), "converged", k + 1
         precondition(r, z)
-        rz_new = float(dot(r, z))
+        rz_new = _dot(r, z)
         # p*beta + z rounds as z + beta*p.
         p *= rz_new / rz
         p += z
@@ -325,7 +311,6 @@ def solve_inner(
     j_val = energy(u, f, mu, e).total
     diffs = _diffs(vals, h)
     g = _pseudo_operator(diffs, mu_edges, e, h) - f_vals
-    rungs = max(1, _LADDER_ELEMENTS // diffs.size)
     trace = [j_val]
     status = "max_iters"
     iterations = 0
@@ -364,16 +349,9 @@ def solve_inner(
         decrease = _raw_energy_decrease(
             diffs, _diffs(d, h), cell * _dot(f_vals, d), mu_edges, p, q, eps2, cell
         )
-        values: dict[float, float] = {}
 
         def trial(t: float) -> tuple[float, None]:
-            if t not in values:
-                # t = 1 alone; below it the ladder's next rungs in one pass.
-                ts = [t]
-                while t < 1.0 and len(ts) < rungs and ts[-1] * _BACKTRACK >= STEP_FLOOR:
-                    ts.append(ts[-1] * _BACKTRACK)
-                values.update(zip(ts, decrease(ts)))
-            return values[t], None
+            return decrease(t), None
 
         accepted = _backtrack(trial, 0.0, cell, slope)
         if accepted is None:

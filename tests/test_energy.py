@@ -904,7 +904,7 @@ def test_raw_energy_decrease_matches_energy_difference():
         diffs, dir_diffs, f_dot, mu.edges, e.p, e.q, e.eps_reg**2, cell
     )
     for t in (1e-1, 1e-3, 1e-6):
-        dj = decrease([t])[0]
+        dj = decrease(t)
         jt = energy(u - t * d, f, mu, e).total
         assert dj == pytest.approx(jt - j0, rel=1e-7, abs=1e-13)
 
@@ -922,7 +922,7 @@ def test_raw_energy_decrease_handles_vanishing_edges_without_eps():
     diffs = _diffs(u.values, g.h)
     dir_diffs = _diffs(d.values, g.h)
     t = 0.25
-    dj = _raw_energy_decrease(diffs, dir_diffs, 0.0, mu.edges, 2.0, 2.0, 0.0, cell)([t])[0]
+    dj = _raw_energy_decrease(diffs, dir_diffs, 0.0, mu.edges, 2.0, 2.0, 0.0, cell)(t)
     j0 = energy(u, f, mu, e).total
     jt = energy(u - t * d, f, mu, e).total
     assert dj == pytest.approx(jt - j0, rel=1e-12, abs=1e-14)
@@ -1001,7 +1001,7 @@ def _per_axis_decrease(grid, vals, dvals, f_dot, mu, e, t):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("m", [1, 2, 7, 31])
 @pytest.mark.parametrize("eps_reg", [0.0, 1e-4])
-def test_a_stacked_ladder_pass_repeats_the_single_step_evaluations(n, m, eps_reg):
+def test_energy_decrease_repeats_the_per_axis_evaluation_bit_for_bit(n, m, eps_reg):
     grid, e, mu, vals, dvals = _per_axis_state(n, m, eps_reg, 40 * m + n)
     h, cell = grid.h, grid.h**grid.n
     diffs = _diffs(vals, h)
@@ -1011,11 +1011,10 @@ def test_a_stacked_ladder_pass_repeats_the_single_step_evaluations(n, m, eps_reg
     decrease = _raw_energy_decrease(
         diffs, _diffs(dvals, h), f_dot, mu.edges, e.p, e.q, e.eps_reg**2, cell
     )
-    ladder = [0.5**k for k in range(37)]
-    stacked = np.array(decrease(ladder))
-    assert stacked.tobytes() == np.array([decrease([t])[0] for t in ladder]).tobytes()
-    expected = [_per_axis_decrease(grid, vals, dvals, f_dot, mu, e, t) for t in ladder]
-    assert stacked.tobytes() == np.array(expected).tobytes()
+    steps = [0.5**k for k in range(37)]
+    got = [decrease(t) for t in steps]
+    expected = [_per_axis_decrease(grid, vals, dvals, f_dot, mu, e, t) for t in steps]
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
 def test_dimension_mismatch_between_grid_and_exponents():
