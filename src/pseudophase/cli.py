@@ -32,6 +32,7 @@ from .energy import (
     apply_divergence_operator,
     apply_pseudo_operator,
     _energy_terms,
+    _hessian_coeff,
     energy,
     validate_exponents,
 )
@@ -198,6 +199,39 @@ def _build_forcing(config: RunConfig) -> GridFunction:
         return read_grid_function(config["forcing.path"], grid)
 
 
+#: The weight key that sets the largest edge weight, per weight kind.
+_WEIGHT_KEY = {"constant": "weight.mu0", "ramp": "weight.mu1", "csv": "weight.path"}
+
+
+def _check_attainable(config: RunConfig, mu: WeightField, f: GridFunction) -> None:
+    """Reject a solve whose tolerance or Hessian the floats cannot carry.
+
+    Near a solution A(u)_k - f_k is the difference of two floats of size
+    |f_k|, so it is known only to about eps_mach |f_k|: a solver.tol below
+    eps_mach max|f| cannot be met.  The Hessian coefficient at a zero
+    gradient grows with the weight (mu eps^(q-2) for q < 2); at the largest
+    edge weight it must be finite.  It names exponents.epsilon instead when
+    a unit weight already overflows it.
+    """
+    size = float(np.abs(f.values).max())
+    floor = float(np.finfo(float).eps) * size
+    if config["solver.tol"] < floor:
+        raise ConfigError(
+            f"solver.tol: {config['solver.tol']:g} is below eps_mach x max|f| = {floor:.3g} "
+            f"for a forcing of size {size:.3g}; the residual cannot be resolved that finely"
+        )
+    mu_max = float(mu.edges.max())
+    if mu_max > 0.0:
+        with np.errstate(all="ignore"):
+            unit, top = _hessian_coeff(np.zeros(2), np.array([1.0, mu_max]), config.exponents)
+        if not math.isfinite(top):
+            key = _WEIGHT_KEY[config["weight.kind"]] if math.isfinite(unit) else "exponents.epsilon"
+            raise ConfigError(
+                f"{key}: the Hessian coefficient at a zero gradient overflows for the largest "
+                f"edge weight {mu_max:g} at epsilon {config.exponents.eps_reg:g}"
+            )
+
+
 def _artifact(config: RunConfig, name: str) -> str:
     """Path of one artifact; the output directory is made when the first is written."""
     try:
@@ -249,6 +283,7 @@ def _cmd_exponents(config: RunConfig) -> int:
 def _cmd_solve(config: RunConfig) -> int:
     mu = _build_weight(config)
     f = _build_forcing(config)
+    _check_attainable(config, mu, f)
     report = solve_inner(f, mu, config.exponents, config.solver)
     write_grid_function(report.u_star, _artifact(config, "u.csv"))
     breakdown = energy(report.u_star, f, mu, config.exponents)
@@ -343,6 +378,7 @@ def _cmd_control(config: RunConfig) -> int:
     e = config.exponents
     grid = config.grid
     f_hat = _build_forcing(config)
+    _check_attainable(config, mu, f_hat)
     u_d = solve_inner(f_hat, mu, e, config.solver)
     if not u_d.converged:
         print("error: forward solve for the tracking target did not converge", file=sys.stderr)

@@ -31,6 +31,10 @@ The private kernels behind these work on the edges of all axes at once,
 in the (n, E) layout of the grid module (row i for axis i, E edges each):
 the differences from grid._diffs, the weight as WeightField.edges, and the
 fluxes, Hessian coefficients and energy changes elementwise over both.
+Every edge array is filled by grid._diff, one axis per row, and every
+flux divergence comes from grid._neg_div, the kernels behind the public
+forward_diff and neg_divergence; only the Hessian product runs its own
+5-point stencil (_Linearization).
 Each sum over edges still runs per axis and is added in axis order, so the
 values repeat a pass made one axis at a time bit for bit.
 
@@ -176,7 +180,7 @@ def validate_exponents(
     return Exponents(p=p_override, q=q, n=n, eps_reg=eps_reg, strict_sobolev=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightField:
     """Per-edge samples of the modulating weight mu with its declared bound.
 
@@ -191,7 +195,7 @@ class WeightField:
     grid: Grid
     per_axis: tuple[np.ndarray, ...]
     mu_max: float
-    edges: np.ndarray = field(init=False, repr=False, compare=False)
+    edges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.mu_max <= 0.0:

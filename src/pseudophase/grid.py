@@ -12,9 +12,11 @@ Conventions
   shape (m+1, m) and an axis-1 edge field has shape (m, m+1).
 * Every axis has the same number E = m**(n-1) * (m+1) of edges, so the
   kernels keep the edges of all axes in one (n, E) array: row a holds axis
-  a's edges in C order of its edge shape.  Elementwise work makes one pass
-  over that array; _edge_axes gives the per-axis views where a stencil needs
-  an edge shape, and reductions still run per row, in axis order.
+  a's edges in C order of its edge shape.  Every edge array is filled by
+  _diff, a row at a time, and every divergence comes from _neg_div, an axis
+  at a time.  Elementwise work makes one pass over that array; _edge_axes
+  gives the per-axis views where a stencil needs an edge shape, and
+  reductions still run per row, in axis order.
 * Quadrature is the scaled lattice sum, sum(values) * h**n, used both for
   nodal fields (nodal rule) and edge fields (midpoint rule).  With this
   pairing the forward difference and the negative edge divergence are
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -92,7 +94,7 @@ def _freeze(values: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Nodal field on the interior nodes; zero on the boundary by convention."""
 
@@ -143,7 +145,7 @@ class GridFunction:
             raise ValueError("grid mismatch between nodal fields")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeField:
     """Per-edge values for one axis of the staggered lattice."""
 
@@ -162,45 +164,30 @@ class EdgeField:
         object.__setattr__(self, "values", _freeze(values))
 
 
-def _diff(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
+def _diff(vals: np.ndarray, axis: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """forward_diff on a bare nodal array: ghost-zero differences over h.
 
     The values go into a zeroed flat buffer laid out (outer, size + 1, inner),
     a zero slab before each run along `axis`, plus one trailing slab; the
     edges are then one contiguous subtraction of the buffer from itself
     shifted by a slab, in C order, with v - 0.0 == v and 0.0 - v at the ends.
+    With out, a flat array of the edges' count, the edges are written into it.
     """
     shape = vals.shape
     size, inner = shape[axis], math.prod(shape[axis + 1 :])
     n = vals.size // size * (size + 1)
     padded = np.zeros(n + inner)
     padded[:n].reshape(-1, size + 1, inner)[:, 1:] = vals.reshape(-1, size, inner)
-    out = np.subtract(padded[inner:], padded[:n])
-    out /= h
-    return out.reshape(shape[:axis] + (size + 1,) + shape[axis + 1 :])
+    edges = np.subtract(padded[inner:], padded[:n], out=out)
+    edges /= h
+    return edges.reshape(shape[:axis] + (size + 1,) + shape[axis + 1 :])
 
 
 def _diffs(vals: np.ndarray, h: float) -> np.ndarray:
-    """_diff along every axis of a nodal array, as one (n, E) edge array.
-
-    The values go once into a zeroed flat buffer of runs of m + 1 along the
-    last axis, each run behind a zero, with a zero run above and below in
-    2-D.  Along the last axis the edges are one contiguous subtraction of the
-    buffer from itself shifted by one; along axis 0 in 2-D, one subtraction
-    of its (m + 2, m) view from itself shifted by a run.  Each edge is the
-    subtraction _diff makes, and one division by h follows.
-    """
-    m, n = len(vals), vals.ndim
-    run, runs = m + 1, vals.size // m
-    out = np.empty((n, runs * run))
-    padded = np.zeros((runs + 2) * run + 1)
-    body = padded[run : run + runs * run]
-    body.reshape(-1, run)[:, 1:] = vals.reshape(-1, m)
-    if n == 2:
-        shifted = padded[1:].reshape(m + 2, run)[:, :m]
-        np.subtract(shifted[1:], shifted[:-1], out=out[0].reshape(run, m))
-    np.subtract(padded[run + 1 : run + 1 + body.size], body, out=out[-1])
-    out /= h
+    """_diff along every axis of a nodal array, as one (n, E) edge array: row a is axis a's."""
+    out = np.empty((vals.ndim, vals.size // len(vals) * (len(vals) + 1)))
+    for axis, row in enumerate(out):
+        _diff(vals, axis, h, out=row)
     return out
 
 
@@ -225,8 +212,8 @@ def _node_edges(edges: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return pairs
 
 
-def _axis_sum(stack: np.ndarray) -> np.ndarray:
-    """The nodal rows of an (n, ...) stack added from +0.0 up, in axis order."""
+def _axis_sum(stack: Sequence[np.ndarray]) -> np.ndarray:
+    """The nodal arrays of an (n, ...) stack or a list added from +0.0 up, in axis order."""
     total = stack[0] + 0.0
     for row in stack[1:]:
         total += row
@@ -251,17 +238,8 @@ def _neg_div(flux: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 
 def _neg_div_sum(fluxes: np.ndarray, h: float) -> np.ndarray:
-    """Sum over axes of _neg_div of the rows of an (n, E) edge flux, from +0.0 up.
-
-    Each axis's differences F_right - F_left go into one nodal stack, which
-    is divided by -h once, as _neg_div divides each.
-    """
-    pairs = _node_edges(fluxes)
-    stack = np.empty((len(pairs),) + pairs[0][0].shape)
-    for (low, high), out in zip(pairs, stack):
-        np.subtract(high, low, out=out)
-    stack /= -h
-    return _axis_sum(stack)
+    """Sum over axes of _neg_div of the rows of an (n, E) edge flux, from +0.0 up."""
+    return _axis_sum([_neg_div(flux, axis, h) for axis, flux in enumerate(_edge_axes(fluxes))])
 
 
 def forward_diff(u: GridFunction, axis: int) -> EdgeField:

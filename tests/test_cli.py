@@ -293,6 +293,43 @@ def test_overflowing_epsilon_exits_one(tmp_path, capsys, source):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, args, lines, message",
+    [
+        # Both used to exit 2: `stalled` at final_grad_norm = 1e60, and nan in the report.
+        ("solve", "--n 2 --m 7 --q 4/3", "forcing.value = 1e60", "error: solver.tol: 1e-06 is below"),
+        ("solve", "--n 1 --m 5 --q 4/3 --p 3 --mu-const 1e308", "", "error: weight.mu0: "),
+        ("control", "--n 1 --m 5 --q 4/3 --p 3", "forcing.value = 1e60", "error: solver.tol: "),
+        ("solve", "--n 2 --m 5 --q 4/3", "weight.kind = ramp\nweight.mu1 = 1e308", "error: weight.mu1: "),
+        ("solve", "--n 1 --m 5 --q 4/3 --p 3 --epsilon=1e-160", "", "error: exponents.epsilon: "),
+    ],
+)
+def test_unattainable_solve_exits_one_naming_its_key(tmp_path, capsys, command, args, lines, message):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, "run.cfg", lines + "\n")
+    assert main([command, *args.split(), "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_attainable_check_admits_the_rounding_floor_and_a_zero_weight(tmp_path):
+    floor = float(np.finfo(float).eps) * 1e6
+    keys = {"command": "solve", "grid.m": 5, "exponents.q": 1.2, "exponents.p": 1.5, "forcing.value": 1e6}
+    for tol, rejected in ((floor, False), (float(np.nextafter(floor, 0.0)), True)):
+        config = parse_config(None, {**keys, "solver.tol": tol})
+        mu, f = cli._build_weight(config), cli._build_forcing(config)
+        if rejected:
+            with pytest.raises(ConfigError, match="^solver.tol: "):
+                cli._check_attainable(config, mu, f)
+        else:
+            cli._check_attainable(config, mu, f)
+    # eps^(q-2) overflows here, but a zero weight takes the q-phase away: this solve converges.
+    args = ["--n", "1", "--m", "5", "--q", "1.2", "--p", "1.5", "--mu-const", "0", "--epsilon=1e-150"]
+    with np.errstate(all="ignore"):
+        assert main(["solve", *args, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_overflowing_convexity_basis_exits_one(tmp_path, capsys):
     # norm(x - y) ** gamma used to end in an OverflowError traceback.
     out = tmp_path / "out"

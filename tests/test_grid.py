@@ -206,9 +206,13 @@ def test_lab_kernels_hold_at_most_two_edge_stacks():
     e = Exponents(4.0, 4.0 / 3.0, 2, 1e-4)
     assert _traced_peak(lambda: _energy_terms(stack, mu, e)) <= 2.1 * edge_stack
     assert _traced_peak(lambda: _sobolev_norms(stack, g, 4.0)) <= 2.1 * edge_stack
+    row = np.empty(edge_stack // 8)
     for axis, inner in ((1, 31), (2, 1)):
         padded = edge_stack + inner * 8
         assert _traced_peak(lambda: _diff(stack, axis, g.h)) <= padded + edge_stack + 1024
+        # Given out, only the padded buffer is allocated, and out holds the edges.
+        assert _traced_peak(lambda: _diff(stack, axis, g.h, out=row)) <= padded + 1024
+        assert row.tobytes() == _diff(stack, axis, g.h).tobytes()
 
 
 def test_neg_div_holds_its_differences_and_its_result():
@@ -231,7 +235,7 @@ def test_edge_array_rows_are_the_per_axis_differences_bit_for_bit(n, m):
     edges = _diffs(vals, g.h)
     assert edges.shape == (n, m ** (n - 1) * (m + 1))
     for axis, view in enumerate(_edge_axes(edges)):
-        expected = _diff(vals, axis, g.h)
+        expected = _swapaxes_diff(vals, axis, g.h)
         assert view.shape == expected.shape == g.edge_shape(axis)
         assert np.shares_memory(view, edges)
         assert edges[axis].tobytes() == expected.tobytes()
@@ -245,8 +249,64 @@ def test_edge_array_divergence_is_the_per_axis_sum_bit_for_bit(n, m):
     rng = np.random.default_rng(20 * m + n)
     fluxes = rng.standard_normal((n, m ** (n - 1) * (m + 1)))
     fluxes[rng.random(fluxes.shape) < 0.3] = -0.0
-    expected = sum(_neg_div(flux, axis, g.h) for axis, flux in enumerate(_edge_axes(fluxes)))
+    expected = sum(_swapaxes_neg_div(flux, axis, g.h) for axis, flux in enumerate(_edge_axes(fluxes)))
     assert _neg_div_sum(fluxes, g.h).tobytes() == expected.tobytes()
+
+
+def _signed_zero_input(rng, shape):
+    """Scaled normal values with about a third of them -0.0 and some +0.0."""
+    vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    vals[rng.random(shape) < 0.3] = -0.0
+    vals[rng.random(shape) < 0.1] = 0.0
+    return vals
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([1, 2]),
+    m=st.integers(1, 40),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernels_match_the_swapaxes_oracles_on_drawn_stacks(n, m, k, seed):
+    g = Grid(n, m)
+    rng = np.random.default_rng(seed)
+    stack = _signed_zero_input(rng, (k,) + g.shape)
+    fluxes = _signed_zero_input(rng, (k, n, m ** (n - 1) * (m + 1)))
+    for axis in range(n):
+        want = _swapaxes_diff(stack, axis + 1, g.h)
+        assert _diff(stack, axis + 1, g.h).tobytes() == want.tobytes()
+        flux = np.stack([_edge_axes(f)[axis] for f in fluxes])
+        want = _swapaxes_neg_div(flux, axis + 1, g.h)
+        assert _neg_div(flux, axis + 1, g.h).tobytes() == want.tobytes()
+    for vals, flux in zip(stack, fluxes):
+        edges = _diffs(vals, g.h)
+        total = 0.0
+        for axis, (row, view) in enumerate(zip(edges, _edge_axes(flux))):
+            assert row.tobytes() == _swapaxes_diff(vals, axis, g.h).tobytes()
+            total = total + _swapaxes_neg_div(view, axis, g.h)
+        assert _neg_div_sum(flux, g.h).tobytes() == total.tobytes()
+        # Summation by parts through the public API, to 1e-12 of the paired terms' size.
+        w = GridFunction(g, vals)
+        for axis, view in enumerate(_edge_axes(flux)):
+            F = EdgeField(g, axis, view)
+            paired = F.values * forward_diff(w, axis).values
+            lhs = quadrature(EdgeField(g, axis, paired))
+            rhs = inner_product(neg_divergence(F), w)
+            assert abs(lhs - rhs) <= 1e-12 * quadrature(EdgeField(g, axis, np.abs(paired)))
+
+
+def test_records_holding_arrays_compare_by_identity():
+    g = Grid(2, 3)
+    pairs = [
+        (WeightField.constant(g, 1.0), WeightField.constant(g, 1.0)),
+        (GridFunction.full(g, 1.0), GridFunction.full(g, 1.0)),
+        (EdgeField(g, 1, np.ones(g.edge_shape(1))), EdgeField(g, 1, np.ones(g.edge_shape(1)))),
+    ]
+    for a, b in pairs:
+        assert a != b and not a == b
+        assert a == a and not a != a
+        assert {a: "a", b: "b"}[a] == "a" and len({a, b, a}) == 2
 
 
 def test_quadrature_ones_2d():
